@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import imageio, modelio, saliency
-from .errors import SmoothCamError
+from .errors import ParamError, SmoothCamError
 from .gradients import ScoreMode
 from .network import forward, list_conv_layers
 from .saliency import NeuronSelection, SaliencyRequest
@@ -105,11 +106,8 @@ def _cmd_explain(args) -> None:
     image = imageio.read_ppm(args.image)
     x = imageio.to_input_tensor(image, model.input_shape)
 
-    if request.method in saliency.CAM_METHODS:
-        _check_layer(model, args.layer)
-
     if request.filters is not None:
-        jobs = [(f"_f{k}", _with_filters(request, (k,))) for k in request.filters]
+        jobs = [(f"_f{k}", replace(request, filters=(k,))) for k in request.filters]
     else:
         jobs = [("", request)]
     results = [(suffix, saliency.run(model, x, req)) for suffix, req in jobs]
@@ -164,16 +162,8 @@ def _parse_request(args) -> tuple[SaliencyRequest, float]:
             class_index = int(args.class_spec)
         except ValueError:
             raise _UsageError(f"--class must be an integer or 'auto', got '{args.class_spec}'")
-    if args.samples < 1:
-        raise _UsageError("--samples must be >= 1")
-    if not 0.0 <= args.sigma < 1.0:
-        raise _UsageError("--sigma must be in [0, 1)")
-    if args.seed < 0:
-        raise _UsageError("--seed must be non-negative")
     if not 0.0 <= args.blend <= 1.0:
         raise _UsageError("--blend must be in [0, 1]")
-    if args.method in saliency.CAM_METHODS and args.layer is None:
-        raise _UsageError(f"--layer is required for method '{args.method}'")
     if args.neurons is not None and args.region_box is not None:
         raise _UsageError("--neurons and --region-box are mutually exclusive")
 
@@ -196,34 +186,21 @@ def _parse_request(args) -> tuple[SaliencyRequest, float]:
         box = tuple(_parse_int(p, "--region-box") for p in parts)
         neurons = NeuronSelection(box=box, region=True)
 
-    request = SaliencyRequest(
-        method=args.method,
-        score=ScoreMode(_SCORE_FLAGS[args.score], class_index),
-        layer=args.layer,
-        n=args.samples,
-        sigma_rel=args.sigma,
-        filters=filters,
-        neurons=neurons,
-        activation_source=args.activation_source,
-        seed=args.seed,
-    )
+    try:
+        request = SaliencyRequest(
+            method=args.method,
+            score=ScoreMode(_SCORE_FLAGS[args.score], class_index),
+            layer=args.layer,
+            n=args.samples,
+            sigma_rel=args.sigma,
+            filters=filters,
+            neurons=neurons,
+            activation_source=args.activation_source,
+            seed=args.seed,
+        )
+    except ParamError as exc:
+        raise _UsageError(str(exc)) from None
     return request, args.blend
-
-
-def _with_filters(request: SaliencyRequest, filters: tuple[int, ...]) -> SaliencyRequest:
-    from dataclasses import replace
-
-    return replace(request, filters=filters)
-
-
-def _check_layer(model, layer: str) -> None:
-    names = {spec.name for spec in model.layers}
-    conv_names = list_conv_layers(model)
-    listing = ", ".join(conv_names) if conv_names else "(none)"
-    if layer not in names:
-        raise SmoothCamError(f"unknown layer: {layer} (valid conv layers: {listing})")
-    if layer not in conv_names:
-        raise SmoothCamError(f"layer '{layer}' is not a conv layer (valid conv layers: {listing})")
 
 
 def _meta_header(args, chosen_class: int) -> str:

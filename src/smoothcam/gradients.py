@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvLayerError, ParamError, UnsupportedError
-from .network import ActivationTrace, Model, logits_layer_index
-from .tensor import Tensor, as_tensor, conv2d, softmax
+from .errors import ParamError, UnsupportedError
+from .network import KINDS, ActivationTrace, Model, logits_layer_index
+from .tensor import Tensor, as_tensor, softmax
 
 SCORE_MODES = ("raw-logit", "exp-logit", "probability")
 
@@ -59,7 +59,7 @@ def grad_wrt_layer(model: Model, trace: ActivationTrace, score: ScoreMode, layer
     differentiates exactly the locally linear branch the forward pass took.
     The ReLU derivative at exactly 0 is taken as 0.
     """
-    idx = _conv_index(model, layer)
+    idx = model.conv_index(layer)
     return _sweep(model, trace, score, stop_index=idx)
 
 
@@ -107,7 +107,7 @@ def finite_diff_layer_grad(
     """
     if h <= 0:
         raise ParamError(f"step h must be > 0, got {h}")
-    idx = _conv_index(model, layer)
+    idx = model.conv_index(layer)
     base = trace.per_layer[layer]
     return _central_diff(model, trace, score, idx, base, h)
 
@@ -151,42 +151,11 @@ def _frozen_score(model, trace, start_index, value, mode, class_index):
 
 
 def _frozen_tail_logits(model, trace, start_index, value):
-    """Replay layers after start_index with ReLU gates and pool argmaxes frozen."""
-    inputs = _layer_inputs(model, trace)
-    tap = logits_layer_index(model)
+    """Replay layers after start_index with every recorded gate held fixed."""
     x = value
-    for i in range(start_index + 1, tap + 1):
-        spec = model.layers[i]
-        if spec.kind == "conv":
-            x = conv2d(x, spec.kernels, spec.bias, spec.stride, spec.padding)
-        elif spec.kind == "relu":
-            x = x * (inputs[i] > 0)
-        elif spec.kind == "maxpool":
-            rows, cols = trace.pool_argmax[spec.name]
-            chan = np.arange(x.shape[0])[:, None, None]
-            x = x[chan, rows, cols]
-        elif spec.kind == "flatten":
-            x = x.reshape(-1)
-        elif spec.kind == "dense":
-            x = spec.weights @ x + spec.bias
-        elif spec.kind == "softmax":
-            x = softmax(x)
+    for spec in model.layers[start_index + 1 : logits_layer_index(model) + 1]:
+        x, _ = KINDS[spec.kind].forward(spec, x, trace.gates.get(spec.name))
     return x
-
-
-def _conv_index(model: Model, layer: str) -> int:
-    idx = model.layer_index(layer)
-    kind = model.layers[idx].kind
-    if kind != "conv":
-        raise NonConvLayerError(f"layer '{layer}' has kind '{kind}', expected conv")
-    return idx
-
-
-def _layer_inputs(model: Model, trace: ActivationTrace) -> list[np.ndarray]:
-    inputs = [trace.input]
-    for spec in model.layers[:-1]:
-        inputs.append(trace.per_layer[spec.name])
-    return inputs
 
 
 def _seed_at_logits(model: Model, trace: ActivationTrace, score: ScoreMode) -> np.ndarray:
@@ -204,43 +173,10 @@ def _seed_at_logits(model: Model, trace: ActivationTrace, score: ScoreMode) -> n
 
 def _sweep(model: Model, trace: ActivationTrace, score: ScoreMode, stop_index: int) -> np.ndarray:
     g = _seed_at_logits(model, trace, score)
-    inputs = _layer_inputs(model, trace)
-    tap = logits_layer_index(model)
-    for i in range(tap, stop_index, -1):
-        g = _backward_layer(model.layers[i], g, inputs[i], trace)
+    for i in range(logits_layer_index(model), stop_index, -1):
+        spec = model.layers[i]
+        x = trace.per_layer[model.layers[i - 1].name] if i else trace.input
+        g = KINDS[spec.kind].backward(
+            spec, g, x, trace.per_layer[spec.name], trace.gates.get(spec.name)
+        )
     return g
-
-
-def _backward_layer(spec, grad, layer_input, trace):
-    if spec.kind == "conv":
-        return _conv_input_grad(grad, spec, layer_input.shape)
-    if spec.kind == "relu":
-        return grad * (layer_input > 0)
-    if spec.kind == "maxpool":
-        rows, cols = trace.pool_argmax[spec.name]
-        chan = np.broadcast_to(np.arange(grad.shape[0])[:, None, None], grad.shape)
-        out = np.zeros_like(layer_input)
-        np.add.at(out, (chan, rows, cols), grad)
-        return out
-    if spec.kind == "flatten":
-        return grad.reshape(layer_input.shape)
-    if spec.kind == "dense":
-        return spec.weights.T @ grad
-    # softmax: ds_j/dz_i = s_j (delta_ij - s_i)
-    s = trace.per_layer[spec.name]
-    return s * (grad - np.dot(grad, s))
-
-
-def _conv_input_grad(grad, spec, input_shape):
-    k = spec.kernels
-    _, _, kh, kw = k.shape
-    c, h, w = input_shape
-    s, p = spec.stride, spec.padding
-    hh, ww = grad.shape[1], grad.shape[2]
-    dx = np.zeros((c, h + 2 * p, w + 2 * p))
-    for u in range(kh):
-        for v in range(kw):
-            dx[:, u : u + s * hh : s, v : v + s * ww : s] += np.einsum(
-                "khw,kc->chw", grad, k[:, :, u, v]
-            )
-    return dx[:, p : p + h, p : p + w] if p else dx

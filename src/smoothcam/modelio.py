@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import FormatError, LengthError, ParamError
 from .network import (
-    LAYER_KINDS,
+    KINDS,
     LayerSpec,
     Model,
     conv_layer,
@@ -37,8 +37,10 @@ def save_model(model: Model, manifest_path, weights_path) -> None:
     layers = []
     blob = bytearray()
     for spec in model.layers:
-        entry = {"name": spec.name, "kind": spec.kind, "params": _layer_params(spec)}
-        main = spec.kernels if spec.kind == "conv" else spec.weights
+        rules = KINDS[spec.kind]
+        params = {key: getattr(spec, attr) for key, attr in rules.params.items()}
+        entry = {"name": spec.name, "kind": spec.kind, "params": params}
+        main = getattr(spec, rules.weight) if rules.weight else None
         for label, arr in (("weight", main), ("bias", spec.bias)):
             if arr is None:
                 continue
@@ -79,7 +81,7 @@ def load_model(manifest_path, weights_path) -> Model:
         name = entry.get("name")
         if not isinstance(name, str) or not name:
             raise FormatError(f"layer entry missing a name: {entry!r}")
-        if kind not in LAYER_KINDS:
+        if kind not in KINDS:
             raise FormatError(f"layer '{name}': unknown kind '{kind}'")
         for label in ("weight", "bias"):
             has_offset = f"{label}_offset" in entry
@@ -88,7 +90,7 @@ def load_model(manifest_path, weights_path) -> Model:
                 raise FormatError(f"layer '{name}': {label} offset/shape must appear together")
             if not has_offset:
                 continue
-            if kind not in ("conv", "dense"):
+            if KINDS[kind].weight is None:
                 raise FormatError(f"layer '{name}': kind '{kind}' carries no weights")
             offset = entry[f"{label}_offset"]
             shape = entry[f"{label}_shape"]
@@ -177,14 +179,6 @@ def detector_scene(quadrant: str = "top-left") -> np.ndarray:
     return img
 
 
-def _layer_params(spec: LayerSpec) -> dict:
-    if spec.kind == "conv":
-        return {"stride": spec.stride, "padding": spec.padding}
-    if spec.kind == "maxpool":
-        return {"size": spec.pool_size, "stride": spec.stride}
-    return {}
-
-
 def _read_array(blob: bytes, entry: dict, label: str, name: str) -> np.ndarray:
     offset = entry[f"{label}_offset"]
     shape = tuple(int(d) for d in entry[f"{label}_shape"])
@@ -196,34 +190,17 @@ def _read_array(blob: bytes, entry: dict, label: str, name: str) -> np.ndarray:
 def _build_layer(entry: dict, blob: bytes) -> LayerSpec:
     name = entry["name"]
     kind = entry["kind"]
+    rules = KINDS[kind]
+    fields = {}
+    if rules.weight is not None:
+        if "weight_offset" not in entry or "bias_offset" not in entry:
+            raise FormatError(f"layer '{name}': {kind} requires weight and bias spans")
+        fields[rules.weight] = _read_array(blob, entry, "weight", name)
+        fields["bias"] = _read_array(blob, entry, "bias", name)
     params = entry.get("params", {})
-    if kind == "conv":
-        if "weight_offset" not in entry or "bias_offset" not in entry:
-            raise FormatError(f"layer '{name}': conv requires weight and bias spans")
-        return conv_layer(
-            name,
-            _read_array(blob, entry, "weight", name),
-            _read_array(blob, entry, "bias", name),
-            stride=_int_param(params, "stride", name),
-            padding=_int_param(params, "padding", name),
-        )
-    if kind == "dense":
-        if "weight_offset" not in entry or "bias_offset" not in entry:
-            raise FormatError(f"layer '{name}': dense requires weight and bias spans")
-        return dense_layer(
-            name,
-            _read_array(blob, entry, "weight", name),
-            _read_array(blob, entry, "bias", name),
-        )
-    if kind == "maxpool":
-        return maxpool_layer(
-            name, _int_param(params, "size", name), _int_param(params, "stride", name)
-        )
-    if kind == "relu":
-        return relu_layer(name)
-    if kind == "flatten":
-        return flatten_layer(name)
-    return softmax_layer(name)
+    for key, attr in rules.params.items():
+        fields[attr] = _int_param(params, key, name)
+    return LayerSpec(name, kind, **fields)
 
 
 def _int_param(params: dict, key: str, name: str) -> int:

@@ -3,19 +3,19 @@
 Models are ordered lists of layers with no branches; that covers the VGG-style
 nets this library targets and keeps the reverse sweep in `gradients` simple.
 A model is immutable after construction (weight arrays are frozen), so any
-number of concurrent forward passes over it is safe.
+number of concurrent forward passes over it is safe. Each layer kind is
+defined by its one entry in `KINDS`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .errors import ShapeError, UnknownLayerError
+from .errors import NonConvLayerError, ShapeError, UnknownLayerError
 from .tensor import Tensor, as_tensor, conv2d, dense, maxpool2d, relu, softmax
-
-LAYER_KINDS = ("conv", "relu", "maxpool", "flatten", "dense", "softmax")
 
 
 @dataclass
@@ -79,7 +79,7 @@ class Model:
                     frozen = np.array(arr, dtype=np.float64, order="C")
                     frozen.flags.writeable = False
                     setattr(spec, attr, frozen)
-        self._shapes = _infer_shapes(self)
+        validate(self)
 
     def layer_index(self, name: str) -> int:
         for i, spec in enumerate(self.layers):
@@ -90,6 +90,18 @@ class Model:
     def layer(self, name: str) -> LayerSpec:
         return self.layers[self.layer_index(name)]
 
+    def conv_index(self, name: str) -> int:
+        """Index of the named conv layer; both errors list the valid conv layers."""
+        valid = "valid conv layers: " + (", ".join(list_conv_layers(self)) or "(none)")
+        try:
+            idx = self.layer_index(name)
+        except UnknownLayerError:
+            raise UnknownLayerError(f"unknown layer: {name} ({valid})") from None
+        kind = self.layers[idx].kind
+        if kind != "conv":
+            raise NonConvLayerError(f"layer '{name}' has kind '{kind}', expected conv ({valid})")
+        return idx
+
 
 @dataclass
 class ActivationTrace:
@@ -99,39 +111,24 @@ class ActivationTrace:
     per_layer: dict[str, np.ndarray]
     logits: np.ndarray
     probabilities: np.ndarray
-    pool_argmax: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-
-
-def validate(model: Model) -> dict[str, tuple[int, ...]]:
-    """Infer every layer's output shape, raising ShapeError on the first bad layer."""
-    return _infer_shapes(model)
+    # The branch each gated layer took: a ReLU's output (open where positive)
+    # or a pool's argmax (rows, cols).
+    gates: dict[str, object] = field(default_factory=dict)
 
 
 def forward(model: Model, input: Tensor) -> ActivationTrace:
-    """Run the pipeline, recording every layer's output and pool argmax choices."""
+    """Run the pipeline, recording every layer's output and the gates it chose."""
     x = as_tensor(input)
     if x.shape != model.input_shape:
         raise ShapeError(f"input shape {x.shape} does not match model input {model.input_shape}")
     per_layer: dict[str, np.ndarray] = {}
-    pool_argmax: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    gates: dict[str, object] = {}
     out = x
     for spec in model.layers:
-        if spec.kind == "conv":
-            out = conv2d(out, spec.kernels, spec.bias, spec.stride, spec.padding)
-        elif spec.kind == "relu":
-            out = relu(out)
-        elif spec.kind == "maxpool":
-            out, idx = maxpool2d(out, spec.pool_size, spec.stride)
-            pool_argmax[spec.name] = idx
-        elif spec.kind == "flatten":
-            out = out.reshape(-1)
-        elif spec.kind == "dense":
-            out = dense(out, spec.weights, spec.bias)
-        elif spec.kind == "softmax":
-            out = softmax(out)
-        else:
-            raise ShapeError(f"layer '{spec.name}': unknown kind '{spec.kind}'")
+        out, gate = KINDS[spec.kind].forward(spec, out)
         per_layer[spec.name] = out
+        if gate is not None:
+            gates[spec.name] = gate
     tap = logits_layer_index(model)
     logits = per_layer[model.layers[tap].name] if tap >= 0 else x
     return ActivationTrace(
@@ -139,7 +136,7 @@ def forward(model: Model, input: Tensor) -> ActivationTrace:
         per_layer=per_layer,
         logits=logits,
         probabilities=softmax(logits),
-        pool_argmax=pool_argmax,
+        gates=gates,
     )
 
 
@@ -155,7 +152,8 @@ def logits_layer_index(model: Model) -> int:
     return len(model.layers) - 1
 
 
-def _infer_shapes(model: Model) -> dict[str, tuple[int, ...]]:
+def validate(model: Model) -> dict[str, tuple[int, ...]]:
+    """Infer every layer's output shape, raising ShapeError on the first bad layer."""
     if not model.layers:
         raise ShapeError("model has no layers")
     seen: set[str] = set()
@@ -168,7 +166,9 @@ def _infer_shapes(model: Model) -> dict[str, tuple[int, ...]]:
         raise ShapeError(f"input shape must be [C,H,W] with positive dims, got {shape}")
     table: dict[str, tuple[int, ...]] = {}
     for spec in model.layers:
-        shape = _layer_output_shape(spec, shape)
+        if spec.kind not in KINDS:
+            raise ShapeError(f"layer '{spec.name}': unknown kind '{spec.kind}'")
+        shape = KINDS[spec.kind].shape(spec, shape)
         table[spec.name] = shape
     if shape != (model.class_count,):
         raise ShapeError(
@@ -178,47 +178,145 @@ def _infer_shapes(model: Model) -> dict[str, tuple[int, ...]]:
     return table
 
 
-def _layer_output_shape(spec: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]:
+@dataclass(frozen=True)
+class LayerKind:
+    """The rules of one layer kind, read by every pass and by the model files."""
+
+    shape: Callable     # (spec, in_shape) -> out_shape; raises ShapeError
+    forward: Callable   # (spec, x, gate=None) -> (out, gate); replays a given gate frozen
+    backward: Callable  # (spec, grad, recorded_input, recorded_output, gate) -> input grad
+    params: dict[str, str] = field(default_factory=dict)  # manifest key -> LayerSpec attribute
+    weight: str | None = None  # attribute holding the weight array; None: no weight/bias spans
+
+
+def _conv_shape(spec: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]:
     name = spec.name
-    if spec.kind == "conv":
-        if len(in_shape) != 3:
-            raise ShapeError(f"layer '{name}': conv needs a [C,H,W] input, got {in_shape}")
-        if spec.kernels is None or spec.kernels.ndim != 4:
-            raise ShapeError(f"layer '{name}': conv requires [K,C,kh,kw] kernels")
-        c, h, w = in_shape
-        kout, kc, kh, kw = spec.kernels.shape
-        if kc != c:
-            raise ShapeError(f"layer '{name}': kernel channels {kc} != input channels {c}")
-        ph, pw = h + 2 * spec.padding, w + 2 * spec.padding
-        if kh > ph or kw > pw:
-            raise ShapeError(f"layer '{name}': kernel {kh}x{kw} exceeds padded input {ph}x{pw}")
-        if (ph - kh) % spec.stride or (pw - kw) % spec.stride:
-            raise ShapeError(f"layer '{name}': non-integral output size")
-        return (kout, (ph - kh) // spec.stride + 1, (pw - kw) // spec.stride + 1)
-    if spec.kind == "relu":
-        return in_shape
-    if spec.kind == "maxpool":
-        if len(in_shape) != 3:
-            raise ShapeError(f"layer '{name}': maxpool needs a [C,H,W] input, got {in_shape}")
-        c, h, w = in_shape
-        if h < spec.pool_size or w < spec.pool_size:
-            raise ShapeError(f"layer '{name}': pool window {spec.pool_size} exceeds input {h}x{w}")
-        return (
-            c,
-            (h - spec.pool_size) // spec.stride + 1,
-            (w - spec.pool_size) // spec.stride + 1,
-        )
-    if spec.kind == "flatten":
-        return (int(np.prod(in_shape)),)
-    if spec.kind == "dense":
-        if spec.weights is None or spec.weights.ndim != 2:
-            raise ShapeError(f"layer '{name}': dense requires [M,N] weights")
-        m, n = spec.weights.shape
-        if in_shape != (n,):
-            raise ShapeError(f"layer '{name}': dense expects {n} inputs, got {in_shape}")
-        return (m,)
-    if spec.kind == "softmax":
-        if len(in_shape) != 1:
-            raise ShapeError(f"layer '{name}': softmax needs a vector input, got {in_shape}")
-        return in_shape
-    raise ShapeError(f"layer '{name}': unknown kind '{spec.kind}'")
+    if len(in_shape) != 3:
+        raise ShapeError(f"layer '{name}': conv needs a [C,H,W] input, got {in_shape}")
+    if spec.kernels is None or spec.kernels.ndim != 4:
+        raise ShapeError(f"layer '{name}': conv requires [K,C,kh,kw] kernels")
+    if spec.stride < 1 or spec.padding < 0:
+        raise ShapeError(f"layer '{name}': conv needs stride >= 1 and padding >= 0")
+    c, h, w = in_shape
+    kout, kc, kh, kw = spec.kernels.shape
+    if kc != c:
+        raise ShapeError(f"layer '{name}': kernel channels {kc} != input channels {c}")
+    ph, pw = h + 2 * spec.padding, w + 2 * spec.padding
+    if kh > ph or kw > pw:
+        raise ShapeError(f"layer '{name}': kernel {kh}x{kw} exceeds padded input {ph}x{pw}")
+    if (ph - kh) % spec.stride or (pw - kw) % spec.stride:
+        raise ShapeError(f"layer '{name}': non-integral output size")
+    return (kout, (ph - kh) // spec.stride + 1, (pw - kw) // spec.stride + 1)
+
+
+def _conv_input_grad(grad, spec, input_shape):
+    k = spec.kernels
+    _, _, kh, kw = k.shape
+    c, h, w = input_shape
+    s, p = spec.stride, spec.padding
+    hh, ww = grad.shape[1], grad.shape[2]
+    dx = np.zeros((c, h + 2 * p, w + 2 * p))
+    for u in range(kh):
+        for v in range(kw):
+            dx[:, u : u + s * hh : s, v : v + s * ww : s] += np.einsum(
+                "khw,kc->chw", grad, k[:, :, u, v]
+            )
+    return dx[:, p : p + h, p : p + w] if p else dx
+
+
+def _relu_forward(spec, x, gate=None):
+    # The output doubles as the gate, so recording it costs no extra array.
+    if gate is None:
+        out = relu(x)
+        return out, out
+    return x * (gate > 0), gate
+
+
+def _maxpool_shape(spec: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]:
+    name = spec.name
+    if len(in_shape) != 3:
+        raise ShapeError(f"layer '{name}': maxpool needs a [C,H,W] input, got {in_shape}")
+    if spec.pool_size < 1 or spec.stride < 1:
+        raise ShapeError(f"layer '{name}': maxpool needs size >= 1 and stride >= 1")
+    c, h, w = in_shape
+    if h < spec.pool_size or w < spec.pool_size:
+        raise ShapeError(f"layer '{name}': pool window {spec.pool_size} exceeds input {h}x{w}")
+    return (
+        c,
+        (h - spec.pool_size) // spec.stride + 1,
+        (w - spec.pool_size) // spec.stride + 1,
+    )
+
+
+def _maxpool_forward(spec, x, gate=None):
+    if gate is None:
+        return maxpool2d(x, spec.pool_size, spec.stride)
+    rows, cols = gate
+    return x[np.arange(x.shape[0])[:, None, None], rows, cols], gate
+
+
+def _maxpool_backward(spec, grad, x, out, gate):
+    rows, cols = gate
+    chan = np.broadcast_to(np.arange(grad.shape[0])[:, None, None], grad.shape)
+    dx = np.zeros_like(x)
+    np.add.at(dx, (chan, rows, cols), grad)
+    return dx
+
+
+def _dense_shape(spec: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]:
+    if spec.weights is None or spec.weights.ndim != 2:
+        raise ShapeError(f"layer '{spec.name}': dense requires [M,N] weights")
+    m, n = spec.weights.shape
+    if in_shape != (n,):
+        raise ShapeError(f"layer '{spec.name}': dense expects {n} inputs, got {in_shape}")
+    return (m,)
+
+
+def _softmax_shape(spec: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]:
+    if len(in_shape) != 1:
+        raise ShapeError(f"layer '{spec.name}': softmax needs a vector input, got {in_shape}")
+    return in_shape
+
+
+# Entries call the tensor primitives through this module's globals, so
+# anything that rebinds those names (such as a tracer) sees every call.
+KINDS: dict[str, LayerKind] = {
+    "conv": LayerKind(
+        shape=_conv_shape,
+        forward=lambda spec, x, gate=None: (
+            conv2d(x, spec.kernels, spec.bias, spec.stride, spec.padding), None),
+        backward=lambda spec, grad, x, out, gate: _conv_input_grad(grad, spec, x.shape),
+        params={"stride": "stride", "padding": "padding"},
+        weight="kernels",
+    ),
+    "relu": LayerKind(
+        shape=lambda spec, in_shape: in_shape,
+        forward=_relu_forward,
+        backward=lambda spec, grad, x, out, gate: grad * (x > 0),
+    ),
+    "maxpool": LayerKind(
+        shape=_maxpool_shape,
+        forward=_maxpool_forward,
+        backward=_maxpool_backward,
+        params={"size": "pool_size", "stride": "stride"},
+    ),
+    "flatten": LayerKind(
+        shape=lambda spec, in_shape: (int(np.prod(in_shape)),),
+        forward=lambda spec, x, gate=None: (x.reshape(-1), None),
+        backward=lambda spec, grad, x, out, gate: grad.reshape(x.shape),
+    ),
+    "dense": LayerKind(
+        shape=_dense_shape,
+        forward=lambda spec, x, gate=None: (dense(x, spec.weights, spec.bias), None),
+        backward=lambda spec, grad, x, out, gate: spec.weights.T @ grad,
+        weight="weights",
+    ),
+    "softmax": LayerKind(
+        shape=_softmax_shape,
+        forward=lambda spec, x, gate=None: (softmax(x), None),
+        # ds_j/dz_i = s_j (delta_ij - s_i)
+        backward=lambda spec, grad, x, out, gate: out * (grad - np.dot(grad, out)),
+    ),
+}
+
+LAYER_KINDS = tuple(KINDS)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NonConvLayerError, ParamError, ShapeError
+from .errors import ParamError, ShapeError
 from .gradients import (
     GradientTriple,
     ScoreMode,
@@ -99,6 +99,13 @@ class SaliencyRequest:
             raise ParamError(f"sigma_rel must be in [0, 1), got {self.sigma_rel}")
         if self.seed < 0:
             raise ParamError(f"seed must be non-negative, got {self.seed}")
+        if self.method in CAM_METHODS:
+            if self.layer is None:
+                raise ParamError(f"method '{self.method}' requires a conv layer name")
+        elif self.filters is not None or self.neurons is not None:
+            raise ParamError(
+                f"filters and neuron selections only apply to CAM methods, not '{self.method}'"
+            )
         if self.filters is not None:
             self.filters = tuple(int(k) for k in self.filters)
 
@@ -124,7 +131,7 @@ def smooth_triple(
     order. The returned activations are taken from the un-noised pass
     (activation_source="original") or averaged across samples ("averaged").
     """
-    _validate_request(model, request, need_layer=True)
+    model.conv_index(request.layer)
     x = as_tensor(input)
     base = forward(model, x)
     c = request.score.resolve_class(base, model.class_count)
@@ -227,7 +234,6 @@ def smoothgrad_map(model: Model, input: Tensor, request: SaliencyRequest) -> Sal
     """
     if request.method not in ("sensitivity", "smoothgrad"):
         raise ParamError(f"smoothgrad_map does not handle method '{request.method}'")
-    _validate_request(model, request, need_layer=False)
     x = as_tensor(input)
     base = forward(model, x)
     c = request.score.resolve_class(base, model.class_count)
@@ -262,29 +268,26 @@ def run(model: Model, input: Tensor, request: SaliencyRequest) -> SaliencyMap:
     """Dispatch a request to its method pipeline and return the finished map."""
     if request.method in ("sensitivity", "smoothgrad"):
         return smoothgrad_map(model, input, request)
-    _validate_request(model, request, need_layer=True)
     x = as_tensor(input)
     base = forward(model, x)
     c = request.score.resolve_class(base, model.class_count)
 
     if request.method == "gradcam":
         g = grad_wrt_layer(model, base, ScoreMode("raw-logit", c), request.layer)
-        activations = base.per_layer[request.layer]
-        if request.neurons is not None:
-            keep = request.neurons.mask(activations.shape[1], activations.shape[2])
-            activations = activations * keep
-            g = g * keep
-        weights = gradcam_weights(g)
+        # Grad-CAM reads d1 only, so no higher-order stacks are formed.
+        triple, activations = GradientTriple(g, g, g), base.per_layer[request.layer]
     else:
         effective = request
         if request.method == "gradcampp":
             effective = replace(request, n=1, sigma_rel=0.0)
         pinned = replace(effective, score=ScoreMode(request.score.mode, c))
         triple, activations = smooth_triple(model, x, pinned)
-        if request.neurons is not None:
-            activations, triple = apply_selection(activations, triple, request.neurons)
-        alpha = compute_alpha(triple, activations)
-        weights = gradcampp_weights(alpha, triple.d1)
+    if request.neurons is not None:
+        activations, triple = apply_selection(activations, triple, request.neurons)
+    if request.method == "gradcam":
+        weights = gradcam_weights(triple.d1)
+    else:
+        weights = gradcampp_weights(compute_alpha(triple, activations), triple.d1)
 
     raw = cam_map(weights, activations, request.filters)
     display = postprocess(raw, model.input_shape[1], model.input_shape[2])
@@ -304,26 +307,6 @@ def _normalize_filters(filters, k: int) -> np.ndarray:
         if not 0 <= i < k:
             raise ParamError(f"filter index {i} out of range [0, {k})")
     return np.asarray(idx, dtype=np.intp)
-
-
-def _validate_request(model: Model, request: SaliencyRequest, need_layer: bool) -> None:
-    if need_layer:
-        if request.layer is None:
-            raise ParamError(f"method '{request.method}' requires a conv layer name")
-        idx = model.layer_index(request.layer)
-        if model.layers[idx].kind != "conv":
-            raise NonConvLayerError(
-                f"layer '{request.layer}' has kind '{model.layers[idx].kind}', expected conv"
-            )
-    else:
-        if request.filters is not None or request.neurons is not None:
-            raise ParamError(
-                f"filters and neuron selections only apply to CAM methods, not '{request.method}'"
-            )
-    if request.score.class_index is not None:
-        c = int(request.score.class_index)
-        if not 0 <= c < model.class_count:
-            raise ParamError(f"class index {c} out of range [0, {model.class_count})")
 
 
 def _meta(request: SaliencyRequest, class_index: int) -> dict:

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -53,6 +56,16 @@ def test_explain_unknown_layer(tmp_path, model_files, scene_ppm, capsys):
     assert not out.exists()  # data errors never leave partial output
 
 
+def test_explain_non_conv_layer(tmp_path, model_files, scene_ppm, capsys):
+    out = tmp_path / "out"
+    args = _explain_args(model_files, scene_ppm, str(out))
+    args[args.index("--layer") + 1] = "pool1"
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert "pool1" in err and "valid conv layers: conv1" in err
+    assert not out.exists()
+
+
 def test_explain_is_byte_deterministic(tmp_path, model_files, scene_ppm):
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
@@ -70,10 +83,12 @@ def test_usage_error_bad_method(tmp_path, model_files, scene_ppm, capsys):
     assert capsys.readouterr().err != ""
 
 
-def test_usage_error_bad_samples(tmp_path, model_files, scene_ppm):
+@pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--sigma", "1.0"),
+                                         ("--seed", "-1")])
+def test_usage_error_bad_samples(tmp_path, model_files, scene_ppm, flag, value):
     args = _explain_args(model_files, scene_ppm, str(tmp_path / "out"),
                          extra=())
-    args[args.index("--samples") + 1] = "0"
+    args[args.index(flag) + 1] = value
     assert run_cli(args) == 1
 
 
@@ -142,6 +157,23 @@ def test_list_layers(model_files, capsys):
     manifest, weights = model_files
     assert run_cli(["list-layers", "--model", manifest, "--weights", weights]) == 0
     assert capsys.readouterr().out.splitlines() == ["conv1"]
+
+
+@pytest.mark.parametrize("layer, key, value", [
+    ("conv1", "stride", 0),
+    ("conv1", "padding", -1),
+    ("pool1", "stride", 0),
+    ("pool1", "size", 0),
+])
+def test_list_layers_rejects_bad_window_params(model_files, capsys, layer, key, value):
+    manifest, weights = model_files
+    doc = json.loads(Path(manifest).read_text())
+    entry = next(e for e in doc["layers"] if e["name"] == layer)
+    entry["params"][key] = value
+    Path(manifest).write_text(json.dumps(doc))
+    assert run_cli(["list-layers", "--model", manifest, "--weights", weights]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"layer '{layer}'" in err
 
 
 def test_make_fixture_and_scene(tmp_path, capsys):

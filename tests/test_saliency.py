@@ -421,13 +421,17 @@ def test_request_validation():
     with pytest.raises(ParamError):
         SaliencyRequest(method="occlusion")
     with pytest.raises(ParamError):
-        SaliencyRequest(method="gradcam", n=0)
+        SaliencyRequest(method="gradcam", layer="conv1", n=0)
     with pytest.raises(ParamError):
-        SaliencyRequest(method="gradcam", sigma_rel=1.0)
+        SaliencyRequest(method="gradcam", layer="conv1", sigma_rel=1.0)
     with pytest.raises(ParamError):
-        SaliencyRequest(method="gradcam", seed=-1)
+        SaliencyRequest(method="gradcam", layer="conv1", seed=-1)
     with pytest.raises(ParamError):
-        SaliencyRequest(method="gradcam", activation_source="mean")
+        SaliencyRequest(method="gradcam", layer="conv1", activation_source="mean")
+    with pytest.raises(ParamError, match="requires a conv layer"):
+        SaliencyRequest(method="gradcampp")
+    with pytest.raises(ParamError, match="only apply to CAM methods"):
+        SaliencyRequest(method="smoothgrad", filters=(0,))
 
 
 def test_run_layer_errors(random_model, rng):
