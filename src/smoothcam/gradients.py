@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParamError, UnsupportedError
-from .network import KINDS, ActivationTrace, Model, logits_layer_index
+from .network import KINDS, ActivationTrace, Model, forward, logits_layer_index
 from .tensor import Tensor, as_tensor, softmax
 
 SCORE_MODES = ("raw-logit", "exp-logit", "probability")
@@ -65,8 +65,6 @@ def grad_wrt_layer(model: Model, trace: ActivationTrace, score: ScoreMode, layer
 
 def grad_wrt_input(model: Model, input: Tensor, score: ScoreMode) -> Tensor:
     """Gradient of the class score with respect to the input (a sensitivity map)."""
-    from .network import forward
-
     trace = forward(model, input)
     return _sweep(model, trace, score, stop_index=-1)
 
@@ -89,7 +87,8 @@ def higher_order_triple(g: Tensor, logit: float, mode: str | ScoreMode = "exp-lo
     if mode_name == "raw-logit":
         return GradientTriple(g.copy(), np.zeros_like(g), np.zeros_like(g))
     d1 = np.exp(float(logit)) * g
-    return GradientTriple(d1, d1 * g, d1 * g * g)
+    d2 = d1 * g
+    return GradientTriple(d1, d2, d2 * g)
 
 
 def finite_diff_layer_grad(

@@ -71,12 +71,16 @@ def load_model(manifest_path, weights_path) -> Model:
     try:
         input_shape = tuple(int(d) for d in doc["input_shape"])
         class_count = int(doc["class_count"])
-        entries = list(doc["layers"])
+        entries = doc["layers"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"manifest missing or malformed field: {exc}") from exc
+    if not isinstance(entries, list):
+        raise FormatError("manifest field 'layers' must be a list of layer objects")
 
-    spans = []  # (offset, nbytes, element_count, layer name, label)
-    for entry in entries:
+    spans = []  # (offset, nbytes, layer name, label)
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise FormatError(f"layer {i}: entry must be a JSON object, got {entry!r}")
         kind = entry.get("kind")
         name = entry.get("name")
         if not isinstance(name, str) or not name:
@@ -96,11 +100,12 @@ def load_model(manifest_path, weights_path) -> Model:
             shape = entry[f"{label}_shape"]
             if not isinstance(offset, int) or offset < 0:
                 raise FormatError(f"layer '{name}': bad {label}_offset {offset!r}")
-            count = int(np.prod([int(d) for d in shape], dtype=np.int64)) if shape else 1
-            spans.append((offset, count * _ITEM_BYTES, count, name, label))
+            if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+                raise FormatError(f"layer '{name}': bad {label}_shape {shape!r}")
+            spans.append((offset, int(np.prod(shape, dtype=np.int64)) * _ITEM_BYTES, name, label))
 
     total = 0
-    for offset, nbytes, _, name, label in spans:
+    for offset, nbytes, name, label in spans:
         if offset != total:
             raise FormatError(
                 f"layer '{name}': {label}_offset {offset} overlaps or leaves a gap "
@@ -180,10 +185,11 @@ def detector_scene(quadrant: str = "top-left") -> np.ndarray:
 
 
 def _read_array(blob: bytes, entry: dict, label: str, name: str) -> np.ndarray:
-    offset = entry[f"{label}_offset"]
-    shape = tuple(int(d) for d in entry[f"{label}_shape"])
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+    shape = entry[f"{label}_shape"]
+    arr = np.frombuffer(blob, dtype="<f4", count=int(np.prod(shape, dtype=np.int64)),
+                        offset=entry[f"{label}_offset"])
+    if not np.isfinite(arr).all():
+        raise FormatError(f"layer '{name}': {label} values must be finite")
     return arr.astype(np.float64).reshape(shape)
 
 

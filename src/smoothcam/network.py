@@ -210,17 +210,17 @@ def _conv_shape(spec: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _conv_input_grad(grad, spec, input_shape):
+    # One GEMM gives the gradient of every im2col row; col2im adds them back.
     k = spec.kernels
-    _, _, kh, kw = k.shape
+    kout, _, kh, kw = k.shape
     c, h, w = input_shape
     s, p = spec.stride, spec.padding
     hh, ww = grad.shape[1], grad.shape[2]
+    cols = (k.reshape(kout, -1).T @ grad.reshape(kout, -1)).reshape(c, kh, kw, hh, ww)
     dx = np.zeros((c, h + 2 * p, w + 2 * p))
     for u in range(kh):
         for v in range(kw):
-            dx[:, u : u + s * hh : s, v : v + s * ww : s] += np.einsum(
-                "khw,kc->chw", grad, k[:, :, u, v]
-            )
+            dx[:, u : u + s * hh : s, v : v + s * ww : s] += cols[:, u, v]
     return dx[:, p : p + h, p : p + w] if p else dx
 
 
@@ -256,10 +256,12 @@ def _maxpool_forward(spec, x, gate=None):
 
 
 def _maxpool_backward(spec, grad, x, out, gate):
-    rows, cols = gate
-    chan = np.broadcast_to(np.arange(grad.shape[0])[:, None, None], grad.shape)
+    at = (np.arange(grad.shape[0])[:, None, None], *gate)
     dx = np.zeros_like(x)
-    np.add.at(dx, (chan, rows, cols), grad)
+    if spec.stride >= spec.pool_size:  # disjoint windows: no source is hit twice
+        dx[at] = grad
+    else:
+        np.add.at(dx, at, grad)
     return dx
 
 
@@ -318,5 +320,3 @@ KINDS: dict[str, LayerKind] = {
         backward=lambda spec, grad, x, out, gate: out * (grad - np.dot(grad, out)),
     ),
 }
-
-LAYER_KINDS = tuple(KINDS)

@@ -102,6 +102,8 @@ class SaliencyRequest:
         if self.method in CAM_METHODS:
             if self.layer is None:
                 raise ParamError(f"method '{self.method}' requires a conv layer name")
+            if self.method != "gradcam" and self.score.mode == "raw-logit":
+                raise ParamError(f"{self.method} needs exp-logit: raw-logit zeroes every alpha")
         elif self.filters is not None or self.neurons is not None:
             raise ParamError(
                 f"filters and neuron selections only apply to CAM methods, not '{self.method}'"

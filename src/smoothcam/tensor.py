@@ -61,11 +61,21 @@ def conv2d(
             f"stride {stride}, padding {padding}"
         )
     if padding:
-        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]
-    out = np.einsum("chwuv,kcuv->khw", windows, k, optimize=True)
-    return out + b[:, None, None]
+        x, inner = np.zeros((cin, ph, pw)), x
+        x[:, padding : padding + h, padding : padding + w] = inner
+    # im2col: one GEMM of the flattened kernels with every window's taps.
+    hh, ww = (ph - kh) // stride + 1, (pw - kw) // stride + 1
+    cols = _taps(x, kh, kw, stride, hh, ww).reshape(-1, hh * ww)
+    return (k.reshape(kout, -1) @ cols + b[:, None]).reshape(kout, hh, ww)
+
+
+def _taps(x: Tensor, kh: int, kw: int, stride: int, hh: int, ww: int) -> Tensor:
+    """[C, kh*kw, hh, ww] copy of window tap (u, v) (index u*kw + v) of every window."""
+    out = np.empty((x.shape[0], kh, kw, hh, ww))
+    for u in range(kh):
+        for v in range(kw):
+            out[:, u, v] = x[:, u : u + stride * hh : stride, v : v + stride * ww : stride]
+    return out.reshape(x.shape[0], kh * kw, hh, ww)
 
 
 def relu(t: Tensor) -> Tensor:
@@ -90,15 +100,17 @@ def maxpool2d(t: Tensor, size: int, stride: int) -> tuple[Tensor, tuple[Tensor, 
     c, h, w = x.shape
     if h < size or w < size:
         raise ShapeError(f"pool window {size}x{size} exceeds input {h}x{w}")
-    windows = np.lib.stride_tricks.sliding_window_view(x, (size, size), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]
-    hh, ww = windows.shape[1], windows.shape[2]
-    flat = windows.reshape(c, hh, ww, size * size)
-    arg = flat.argmax(axis=3)
-    pooled = np.take_along_axis(flat, arg[..., None], axis=3)[..., 0]
-    rows = np.arange(hh)[None, :, None] * stride + arg // size
-    cols = np.arange(ww)[None, None, :] * stride + arg % size
-    return pooled, (rows, cols)
+    hh, ww = (h - size) // stride + 1, (w - size) // stride + 1
+    taps = _taps(x, size, size, stride, hh, ww)
+    # hit[:, k]: np.argmax's pick (first maximum, else first NaN) is at tap k or before.
+    hit = (taps == taps.max(axis=1, keepdims=True)) | (taps != taps)
+    for k in range(1, size * size):
+        hit[:, k] |= hit[:, k - 1]
+    arg = size * size - hit.sum(axis=1, dtype=np.min_scalar_type(size * size))
+    du = arg // size
+    rows = du + np.arange(0, stride * hh, stride)[:, None]
+    cols = (arg - du * size) + np.arange(0, stride * ww, stride)
+    return x[np.arange(c)[:, None, None], rows, cols], (rows, cols)
 
 
 def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:

@@ -121,15 +121,27 @@ def test_map_csv_header_roundtrips_every_flag(tmp_path, model_files, scene_ppm):
     args = _explain_args(model_files, scene_ppm, str(out),
                          extra=["--class", "3", "--blend", "0.25",
                                 "--activation-source", "averaged", "--score", "logit"])
+    args[args.index("smooth-gradcampp")] = "gradcam"  # the only CAM method taking a raw logit
     assert run_cli(args) == 0
     header = (out / "map.csv").read_text().splitlines()[0]
     assert header.startswith("# ")
+    assert "method=gradcam" in header
     for key in ("method=", "class=", "layer=", "samples=", "sigma=", "filters=",
                 "neurons=", "region-box=", "activation-source=", "score=",
                 "seed=", "blend="):
         assert key in header
     assert "class=3" in header
     assert "score=logit" in header
+
+
+@pytest.mark.parametrize("method", ["gradcampp", "smooth-gradcampp"])
+def test_usage_error_raw_logit_for_gradcampp(tmp_path, model_files, scene_ppm, capsys, method):
+    out = tmp_path / "out"
+    args = _explain_args(model_files, scene_ppm, str(out), extra=["--score", "logit"])
+    args[args.index("smooth-gradcampp")] = method
+    assert run_cli(args) == 1
+    assert "raw-logit" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_explain_neuron_selection_runs(tmp_path, model_files, scene_ppm):
@@ -174,6 +186,52 @@ def test_list_layers_rejects_bad_window_params(model_files, capsys, layer, key, 
     assert run_cli(["list-layers", "--model", manifest, "--weights", weights]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"layer '{layer}'" in err
+
+
+def _break_entry(doc, case):
+    layers = doc["layers"]
+    if case == "entry-not-object":
+        layers[2] = "pool1"
+    elif case == "layers-object":
+        doc["layers"] = {entry["name"]: entry for entry in layers}
+    elif case == "shape-string":
+        layers[0]["weight_shape"] = "4x1x3x3"
+    else:
+        layers[0]["weight_shape"] = [4.5, 1, 3, 3]
+
+
+_NAMED = {"entry-not-object": "layer 2", "layers-object": "'layers'",
+          "shape-string": "layer 'conv1'", "shape-float": "layer 'conv1'"}
+
+
+@pytest.mark.parametrize("case", sorted(_NAMED))
+def test_malformed_manifest_is_a_data_error(tmp_path, model_files, scene_ppm, capsys, case):
+    named = _NAMED[case]
+    manifest, _ = model_files
+    doc = json.loads(Path(manifest).read_text())
+    _break_entry(doc, case)
+    Path(manifest).write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run_cli(_explain_args(model_files, scene_ppm, str(out))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weights_are_a_data_error(tmp_path, model_files, scene_ppm, capsys, bad):
+    manifest, weights = model_files
+    doc = json.loads(Path(manifest).read_text())
+    dense = next(e for e in doc["layers"] if e["name"] == "dense1")
+    blob = bytearray(Path(weights).read_bytes())
+    at = dense["weight_offset"] + 4 * 5
+    blob[at : at + 4] = np.array([bad], dtype="<f4").tobytes()
+    Path(weights).write_bytes(bytes(blob))
+    out = tmp_path / "out"
+    assert run_cli(_explain_args(model_files, scene_ppm, str(out))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "layer 'dense1'" in err and "finite" in err
+    assert not out.exists()
 
 
 def test_make_fixture_and_scene(tmp_path, capsys):

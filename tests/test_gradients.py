@@ -20,8 +20,10 @@ from smoothcam import (
     grad_wrt_layer,
     higher_order_triple,
     maxpool_layer,
+    relu_layer,
     softmax_layer,
 )
+from smoothcam.network import KINDS
 
 
 def _sum_tail_net(rng, dense_scale=1.0):
@@ -111,6 +113,60 @@ def test_gradient_through_pool_scatters_to_argmax(rng):
     want = np.zeros((1, 4, 4))
     want[0, 1::2, 1::2] = 1.0  # increasing values put every window max bottom-right
     assert np.array_equal(g, want)
+
+
+def _oracle_input_check(model, rng):
+    """grad_wrt_input against the frozen-gate finite-difference oracle."""
+    x = rng.random(model.input_shape)
+    trace = forward(model, x)
+    for mode in ("raw-logit", "exp-logit"):
+        score = ScoreMode(mode, 1)
+        g = grad_wrt_input(model, x, score)
+        fd = finite_diff_input_grad(model, trace, score, h=1e-4)
+        assert _relative_errors(g, fd).max() < 1e-6
+    return trace
+
+
+def test_input_gradient_strided_padded_conv_matches_finite_differences(rng):
+    layers = [
+        conv_layer("conv1", rng.standard_normal((3, 2, 3, 3)), rng.normal(0.0, 0.1, 3),
+                   stride=2, padding=1),
+        relu_layer("relu1"),
+        conv_layer("conv2", rng.standard_normal((4, 3, 2, 2)), rng.normal(0.0, 0.1, 4),
+                   stride=2, padding=1),
+        flatten_layer("flatten1"),
+        dense_layer("dense1", rng.standard_normal((3, 4 * 3 * 3)), np.zeros(3)),
+    ]
+    model = Model(layers=layers, input_shape=(2, 7, 7), class_count=3)
+    trace = _oracle_input_check(model, rng)
+    assert trace.per_layer["conv1"].shape == (3, 4, 4)
+
+
+def test_input_gradient_overlapping_pool_matches_finite_differences(rng):
+    layers = [
+        conv_layer("conv1", rng.standard_normal((2, 1, 3, 3)), rng.normal(0.0, 0.1, 2)),
+        relu_layer("relu1"),
+        maxpool_layer("pool1", 3, stride=1),
+        flatten_layer("flatten1"),
+        dense_layer("dense1", rng.standard_normal((3, 2 * 6 * 6)), np.zeros(3)),
+    ]
+    model = Model(layers=layers, input_shape=(1, 10, 10), class_count=3)
+    trace = _oracle_input_check(model, rng)
+    rows, cols = trace.gates["pool1"]
+    sources = list(zip(np.indices(rows.shape)[0].ravel(), rows.ravel(), cols.ravel()))
+    assert len(set(sources)) < len(sources)  # some source wins several windows
+
+
+@pytest.mark.parametrize("size,stride", [(2, 2), (3, 3), (2, 3), (1, 1)])
+def test_disjoint_pool_backward_equals_accumulation(rng, size, stride):
+    spec = maxpool_layer("pool1", size, stride=stride)
+    x = rng.standard_normal((3, 11, 11))
+    out, gate = KINDS["maxpool"].forward(spec, x)
+    grad = rng.standard_normal(out.shape)
+    want = np.zeros_like(x)
+    chan = np.broadcast_to(np.arange(3)[:, None, None], out.shape)
+    np.add.at(want, (chan, *gate), grad)
+    assert KINDS["maxpool"].backward(spec, grad, x, out, gate).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

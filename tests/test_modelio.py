@@ -72,6 +72,17 @@ def test_wrong_format_version_rejected(saved_fixture):
         load_model(manifest, weights)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_non_finite_weights_rejected(saved_fixture, bad):
+    manifest, weights = saved_fixture
+    bias = next(e for e in json.loads(manifest.read_text())["layers"] if e["name"] == "conv1")
+    blob = bytearray(weights.read_bytes())
+    blob[bias["bias_offset"] : bias["bias_offset"] + 4] = np.array([bad], dtype="<f4").tobytes()
+    weights.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="layer 'conv1': bias"):
+        load_model(manifest, weights)
+
+
 def test_overlapping_offsets_rejected(saved_fixture):
     manifest, weights = saved_fixture
     doc = json.loads(manifest.read_text())

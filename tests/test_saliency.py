@@ -434,6 +434,14 @@ def test_request_validation():
         SaliencyRequest(method="smoothgrad", filters=(0,))
 
 
+@pytest.mark.parametrize("method", ["gradcampp", "smooth-gradcampp"])
+def test_raw_logit_rejected_for_gradcampp(method):
+    # d2 = d3 = 0 for the raw logit, so every alpha and hence the map would be zero.
+    with pytest.raises(ParamError, match="exp-logit"):
+        SaliencyRequest(method=method, layer="conv1", score=ScoreMode("raw-logit"))
+    SaliencyRequest(method="gradcam", layer="conv1", score=ScoreMode("raw-logit"))
+
+
 def test_run_layer_errors(random_model, rng):
     x = rng.random((1, 16, 16))
     with pytest.raises(ParamError):

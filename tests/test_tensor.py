@@ -202,6 +202,50 @@ def test_maxpool_tie_breaks_to_first_rowmajor():
     assert rows[0, 0, 0] == 0 and cols[0, 0, 0] == 0
 
 
+def _argmax_pool_oracle(x, size, stride):
+    """Per-window np.argmax over the row-major window, read back from x."""
+    c, h, w = x.shape
+    hh = (h - size) // stride + 1
+    ww = (w - size) // stride + 1
+    pooled = np.zeros((c, hh, ww))
+    rows = np.zeros((c, hh, ww), dtype=np.intp)
+    cols = np.zeros((c, hh, ww), dtype=np.intp)
+    for ch in range(c):
+        for i in range(hh):
+            for j in range(ww):
+                window = x[ch, i * stride : i * stride + size, j * stride : j * stride + size]
+                k = int(np.argmax(window))
+                rows[ch, i, j] = i * stride + k // size
+                cols[ch, i, j] = j * stride + k % size
+                pooled[ch, i, j] = x[ch, rows[ch, i, j], cols[ch, i, j]]
+    return pooled, rows, cols
+
+
+def _assert_matches_argmax(x, size, stride):
+    pooled, (rows, cols) = maxpool2d(x, size, stride)
+    want, want_rows, want_cols = _argmax_pool_oracle(x, size, stride)
+    assert pooled.tobytes() == want.tobytes()  # bit-identical, NaNs and signed zeros included
+    assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+
+
+@pytest.mark.parametrize("size,stride", [(2, 2), (3, 1), (3, 2), (2, 3), (1, 1)])
+def test_maxpool_nan_windows_follow_argmax(rng, size, stride):
+    x = rng.standard_normal((3, 8, 8))
+    x[rng.random(x.shape) < 0.15] = np.nan
+    x[0, :3, :3] = np.nan  # an all-NaN window
+    x[1, 0, 0], x[1, 0, 1] = 5.0, np.nan  # NaN after the maximum still wins
+    assert np.isnan(x).any()
+    _assert_matches_argmax(x, size, stride)
+
+
+@pytest.mark.parametrize("size,stride", [(3, 1), (3, 2), (2, 1), (4, 3)])
+def test_maxpool_overlapping_ties_follow_argmax(rng, size, stride):
+    x = rng.integers(-1, 2, size=(3, 9, 9)).astype(float)  # many tied maxima
+    x[x == 0.0] = rng.choice([0.0, -0.0], size=int((x == 0.0).sum()))
+    _assert_matches_argmax(x, size, stride)
+    _assert_matches_argmax(np.full((2, 6, 6), -0.0), size, stride)
+
+
 def test_maxpool_window_too_large():
     with pytest.raises(ShapeError):
         maxpool2d(np.zeros((1, 2, 2)), 3, 1)
