@@ -9,6 +9,7 @@ from .errors import (
     FormatError,
     LengthError,
     NonConvLayerError,
+    NonFiniteMapError,
     ParamError,
     ShapeError,
     SmoothCamError,

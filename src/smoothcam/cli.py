@@ -7,6 +7,7 @@ reported as one-line stderr messages, never tracebacks.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import imageio, modelio, saliency
-from .errors import ParamError, SmoothCamError
+from .errors import NonFiniteMapError, ParamError, SmoothCamError
 from .gradients import ScoreMode
 from .network import forward, list_conv_layers
 from .saliency import NeuronSelection, SaliencyRequest
@@ -59,6 +60,7 @@ def run_cli(argv) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args only reads the parser and returns a fresh Namespace
 def _build_parser() -> _Parser:
     parser = _Parser(prog="smoothcam", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -111,17 +113,21 @@ def _cmd_explain(args) -> None:
     else:
         jobs = [("", request)]
     results = [(suffix, saliency.run(model, x, req)) for suffix, req in jobs]
+    chosen = results[0][1].meta["class"]
+    if not all(np.isfinite(smap.display).all() for _, smap in results):
+        raise NonFiniteMapError(
+            f"{request.method} map for class {chosen} is not finite: the class score overflowed"
+        )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    header = _meta_header(args, results[0][1].meta["class"])
+    header = _meta_header(args, chosen)
     for suffix, smap in results:
         imageio.write_ppm(imageio.heat_image(smap.display), out_dir / f"heatmap{suffix}.ppm")
         imageio.write_ppm(imageio.overlay(image, smap.display, blend),
                           out_dir / f"overlay{suffix}.ppm")
         imageio.write_map_csv(smap.display, out_dir / f"map{suffix}.csv", header=header)
 
-    chosen = results[0][1].meta["class"]
     trace = forward(model, x)
     logit = float(trace.logits[chosen])
     score_value = logit if request.score.mode == "raw-logit" else float(np.exp(logit))

@@ -31,3 +31,7 @@ class NonConvLayerError(SmoothCamError):
 
 class UnsupportedError(SmoothCamError):
     """The requested combination is valid syntax but not supported."""
+
+
+class NonFiniteMapError(SmoothCamError):
+    """A computed map holds NaN or infinity, so it cannot be written."""

@@ -134,14 +134,58 @@ def write_map_csv(values: Tensor, path, header: str | None = None) -> None:
     """Dump a 2-D map as CSV, one row per line, "%.9f" per value.
 
     An optional header string is written first as a '#'-prefixed comment line.
+    A non-empty 2-D map of finite values in [0, 1] without -0.0 (every display
+    map) prints as fixed-width "d.ddddddddd" built from exactly rounded
+    integers; any other array takes one "%"-format call per row. Both give the
+    bytes a per-value f"{v:.9f}" would.
     """
     arr = np.atleast_2d(as_tensor(values))
-    lines = []
-    if header is not None:
-        lines.append("# " + header)
-    for row in arr:
-        lines.append(",".join(f"{v:.9f}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = [] if header is None else ["# " + header]
+    if arr.ndim == 2 and arr.size and not np.signbit(arr).any() and (arr <= 1.0).all():
+        text = "".join(line + "\n" for line in lines).encode("utf-8")
+        text += _fixed_width_rows(_round_nanos(arr))
+    else:
+        lines += [",".join(["%.9f"] * len(row)) % tuple(row) for row in arr]
+        text = ("\n".join(lines) + "\n").encode("utf-8")
+    Path(path).write_bytes(text)
+
+
+# "%.9f" text of q = round(v * 1e9) for v in [0, 1], as three 4-byte words:
+# "d.dd" from q // 10**7, "dddd" from the next four digits, "ddd," from the last three.
+_HEAD_WORDS = np.frombuffer(
+    "".join(f"{i // 100}.{i % 100:02d}" for i in range(101)).encode(), np.uint32)
+_MID_WORDS = np.frombuffer("".join(f"{i:04d}" for i in range(10000)).encode(), np.uint32)
+_TAIL_WORDS = np.frombuffer("".join(f"{i:03d}," for i in range(1000)).encode(), np.uint32)
+
+
+def _round_nanos(v: np.ndarray) -> np.ndarray:
+    """Exact round-half-even(v * 1e9) as int64, for finite v in [0, 1].
+
+    TwoProduct (Veltkamp split of v; 1e9 has 21 significant bits, so it needs
+    none) gives v * 1e9 = p + e with no error. Rounding is monotone and every
+    half-integer below 2**52 is a double, so rint(p) is the answer unless p is
+    itself a half-integer. Then the true product lies above or below it by e;
+    only e == 0 is a real tie, which rint already sent to even.
+    """
+    p = v * 1e9
+    t = v * 134217729.0  # 2**27 + 1
+    hi = t - (t - v)
+    e = (hi * 1e9 - p) + (v - hi) * 1e9
+    r = np.rint(p)
+    off_tie = (np.abs(p - r) == 0.5) & (e != 0)
+    return np.where(off_tie, p + 0.5 * np.sign(e), r).astype(np.int64)
+
+
+def _fixed_width_rows(q: np.ndarray) -> bytes:
+    """Rows of "d.ddddddddd" joined by ',' and ended by '\\n', for q in [0, 1e9]."""
+    head = q // 10**7
+    low = q - head * 10**7
+    mid = low // 1000
+    words = np.stack([_HEAD_WORDS[head], _MID_WORDS[mid], _TAIL_WORDS[low - mid * 1000]],
+                     axis=-1)
+    text = words.view(np.uint8).reshape(q.shape[0], -1)
+    text[:, -1] = ord("\n")
+    return text.tobytes()
 
 
 def _channel_byte(channel: float) -> int:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from smoothcam import build_fixture, detector_scene
+
+# Property tests replay the same examples on every run and stay fast.
+settings.register_profile("smoothcam", derandomize=True, deadline=None, max_examples=100,
+                          database=None)
+settings.load_profile("smoothcam")
 
 
 @pytest.fixture

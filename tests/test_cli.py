@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from smoothcam import detector_scene, read_ppm, save_model, write_ppm, RgbImage
+from smoothcam import Model, detector_scene, read_ppm, save_model, write_ppm, RgbImage
 from smoothcam.cli import run_cli
 
 
@@ -232,6 +233,50 @@ def test_non_finite_weights_are_a_data_error(tmp_path, model_files, scene_ppm, c
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "layer 'dense1'" in err and "finite" in err
     assert not out.exists()
+
+
+# +800 on every logit leaves the softmax alone but overflows exp(score).
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("method,layer", [
+    ("smooth-gradcampp", "conv1"), ("gradcampp", "conv1"), ("smoothgrad", None),
+    ("sensitivity", None),
+])
+def test_non_finite_map_is_a_data_error(tmp_path, random_model, scene_ppm, capsys, method, layer):
+    shifted = Model(
+        [replace(s, bias=s.bias + 800.0) if s.kind == "dense" else s for s in random_model.layers],
+        random_model.input_shape, random_model.class_count,
+    )
+    manifest, weights = tmp_path / "model.json", tmp_path / "model.bin"
+    save_model(shifted, manifest, weights)
+    out = tmp_path / "out"
+    args = ["explain", "--model", str(manifest), "--weights", str(weights), "--image", scene_ppm,
+            "--method", method, "--samples", "3", "--seed", "1", "--out", str(out)]
+    if layer is not None:
+        args += ["--layer", layer]
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert method in lines[0] and "class " in lines[0] and "overflowed" in lines[0]
+    assert captured.out == ""
+    assert not (out / "map.csv").exists()
+
+
+def test_usage_error_leaves_no_state_for_the_next_call(tmp_path, model_files, scene_ppm, capsys):
+    # The parser is built once per process, so every call in this test shares it.
+    alone = tmp_path / "alone"
+    assert run_cli(_explain_args(model_files, scene_ppm, str(alone))) == 0
+    expected = capsys.readouterr().out
+
+    bad = _explain_args(model_files, scene_ppm, str(tmp_path / "bad"), extra=["--score", "nope"])
+    assert run_cli(bad) == 1
+    capsys.readouterr()
+    after = tmp_path / "after"
+    assert run_cli(_explain_args(model_files, scene_ppm, str(after))) == 0
+    assert capsys.readouterr().out == expected
+    assert sorted(p.name for p in after.iterdir()) == sorted(p.name for p in alone.iterdir())
+    for path in alone.iterdir():
+        assert (after / path.name).read_bytes() == path.read_bytes()
 
 
 def test_make_fixture_and_scene(tmp_path, capsys):

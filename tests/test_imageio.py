@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from smoothcam import (
     FormatError,
@@ -14,6 +17,7 @@ from smoothcam import (
     write_map_csv,
     write_ppm,
 )
+from smoothcam.imageio import _round_nanos
 
 # Golden bytes computed from the stated formula with an independent scalar
 # implementation (clamped tent functions, round-half-away-from-zero).
@@ -187,6 +191,77 @@ def test_csv_header_comment(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "# method=gradcam seed=1"
     assert lines[1] == "1.000000000"
+
+
+def _per_value_csv(values, header=None) -> bytes:
+    """The writer's oracle: one f"{v:.9f}" per value."""
+    lines = [] if header is None else ["# " + header]
+    lines += [",".join(f"{v:.9f}" for v in row) for row in np.atleast_2d(values)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _written(directory, values, header=None) -> bytes:
+    path = directory / "map.csv"
+    write_map_csv(values, path, header=header)
+    data = path.read_bytes()
+    path.unlink()  # a fresh file per example: rewriting one in place can force a flush
+    return data
+
+
+_EDGES = [0.0, 1.0, float(np.nextafter(1.0, 0.0)), 5e-324, 1 / 1024]
+_UNIT = st.floats(0.0, 1.0) | st.sampled_from(_EDGES)
+_ANY = _UNIT | st.floats() | st.sampled_from([-0.0, float("nan"), np.inf, -np.inf, -0.5, 1.5])
+_HEADERS = st.sampled_from([None, "method=gradcam seed=1", ""])
+
+
+def _maps(elements, min_side=1):
+    return arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=min_side,
+                                           max_side=7), elements=elements)
+
+
+@given(values=_maps(_UNIT), header=_HEADERS)
+def test_csv_unit_maps_match_per_value_format(tmp_path_factory, values, header):
+    directory = tmp_path_factory.mktemp("csv")
+    assert _written(directory, values, header) == _per_value_csv(values, header)
+
+
+@given(values=_maps(_ANY, min_side=0), header=_HEADERS)
+@example(values=np.array([[-0.0, 0.5]]), header=None)
+@example(values=np.array([[np.nan, np.inf, -np.inf]]), header="h")
+@example(values=np.zeros((0, 3)), header=None)
+def test_csv_other_arrays_match_per_value_format(tmp_path_factory, values, header):
+    directory = tmp_path_factory.mktemp("csv")
+    assert _written(directory, values, header) == _per_value_csv(values, header)
+
+
+def test_csv_accepts_one_dimensional_input(tmp_path):
+    values = np.array([0.1, 0.7])
+    assert _written(tmp_path, values) == _per_value_csv(values)
+
+
+def _nanos_oracle(values):
+    return [int(f"{v:.9f}".replace(".", "")) for v in values]
+
+
+@given(k=st.integers(0, 10**9 - 1))
+def test_round_nanos_at_and_beside_ties(k):
+    values = []
+    for v in ((k + 0.5) / 1e9, k / 1e9):
+        below, above = np.nextafter(v, 0.0), np.nextafter(v, 2.0)
+        values += [v, below, above, np.nextafter(below, 0.0), np.nextafter(above, 2.0)]
+    values = np.array([v for v in values if v <= 1.0])
+    assert _round_nanos(values).tolist() == _nanos_oracle(values)
+
+
+@given(i=st.integers(0, 2**16), k=st.integers(0, 39))
+def test_round_nanos_on_dyadic_values(i, k):
+    values = np.array([min(i / 2.0**k, 1.0)])
+    assert _round_nanos(values).tolist() == _nanos_oracle(values)
+
+
+def test_exact_tie_rounds_to_even(tmp_path):
+    # 1/1024 * 1e9 = 976562.5 exactly: the even neighbour wins.
+    assert _written(tmp_path, np.array([[1 / 1024]])) == b"0.000976562\n"
 
 
 def test_image_constructor_validates():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -453,3 +455,21 @@ def test_run_layer_errors(random_model, rng):
     with pytest.raises(ParamError):
         run(random_model, x, SaliencyRequest(
             method="gradcampp", layer="conv1", score=ScoreMode("exp-logit", 99), seed=0))
+
+
+def test_randomizing_weights_layer_by_layer_changes_the_map(random_model, rng):
+    # Model-randomization sanity check (Adebayo et al., arXiv 1810.03292): a map
+    # that survives re-drawn weights does not depend on what the model learned.
+    x = rng.random(random_model.input_shape)
+    request = SaliencyRequest(method="smooth-gradcampp", layer="conv1", n=8, sigma_rel=0.15,
+                              seed=3)
+    redraw = np.random.default_rng(2024)
+    layers = list(random_model.layers)
+    maps = [run(random_model, x, request).display]
+    for name, attr in (("conv1", "kernels"), ("dense1", "weights")):
+        i = random_model.layer_index(name)
+        old = getattr(layers[i], attr)
+        layers[i] = replace(layers[i], **{attr: redraw.normal(0.0, old.std(), old.shape)})
+        model = Model(layers, random_model.input_shape, random_model.class_count)
+        maps.append(run(model, x, request).display)
+        assert not np.allclose(maps[-1], maps[-2], atol=1e-6), name
