@@ -7,7 +7,6 @@ fixed piecewise-linear blue-green-red ramp for the same reason.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,7 +64,18 @@ def read_ppm(path) -> RgbImage:
 def write_ppm(img: RgbImage, path) -> None:
     """Write the canonical P6 form (single-space header, maxval 255)."""
     header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + img.pixels)
+    _write_new(path, header + img.pixels)
+
+
+def _write_new(path, data: bytes) -> None:
+    """Write data as a new file, first removing any file or symlink at path.
+
+    Rewriting an existing file in place can wait on a filesystem flush (tens
+    of ms on ext4), and a symlink would be written through.
+    """
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    path.write_bytes(data)
 
 
 def to_input_tensor(img: RgbImage, model_input_shape) -> Tensor:
@@ -94,12 +104,8 @@ def colormap(v: float) -> tuple[int, int, int]:
     R = clamp(1.5 - |4v - 3|), G = clamp(1.5 - |4v - 2|), B = clamp(1.5 - |4v - 1|),
     each clamped to [0,1] and quantized with round-half-away-from-zero.
     """
-    v = min(max(float(v), 0.0), 1.0)
-    return (
-        _channel_byte(1.5 - abs(4.0 * v - 3.0)),
-        _channel_byte(1.5 - abs(4.0 * v - 2.0)),
-        _channel_byte(1.5 - abs(4.0 * v - 1.0)),
-    )
+    r, g, b = _colormap_bytes(np.array(float(v)))
+    return int(r), int(g), int(b)
 
 
 def overlay(base: RgbImage, heat: Tensor, blend: float = 0.5) -> RgbImage:
@@ -147,7 +153,7 @@ def write_map_csv(values: Tensor, path, header: str | None = None) -> None:
     else:
         lines += [",".join(["%.9f"] * len(row)) % tuple(row) for row in arr]
         text = ("\n".join(lines) + "\n").encode("utf-8")
-    Path(path).write_bytes(text)
+    _write_new(path, text)
 
 
 # "%.9f" text of q = round(v * 1e9) for v in [0, 1], as three 4-byte words:
@@ -188,11 +194,6 @@ def _fixed_width_rows(q: np.ndarray) -> bytes:
     return text.tobytes()
 
 
-def _channel_byte(channel: float) -> int:
-    clamped = min(max(channel, 0.0), 1.0)
-    return int(math.floor(255.0 * clamped + 0.5))
-
-
 def _colormap_bytes(values: np.ndarray) -> np.ndarray:
     """Vectorized colormap: float array of already-quantized byte values [H,W,3]."""
     v = np.clip(values, 0.0, 1.0)
@@ -207,7 +208,10 @@ def _read_header_int(data: bytes, pos: int) -> tuple[int, int]:
         pos += 1
     if pos == start:
         raise FormatError(f"expected an integer in PPM header at byte offset {start}")
-    return int(data[start:pos]), pos
+    try:
+        return int(data[start:pos]), pos
+    except ValueError:  # more digits than int() will convert
+        raise FormatError(f"PPM header integer at byte offset {start} is too long") from None
 
 
 def _skip_whitespace_and_comments(data: bytes, pos: int) -> int:

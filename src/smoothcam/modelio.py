@@ -10,6 +10,7 @@ produce identical files.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -62,18 +63,15 @@ def load_model(manifest_path, weights_path) -> Model:
     """Load a manifest + blob pair, validating structure before touching weights."""
     try:
         doc = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"manifest is not valid JSON: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"manifest is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError("manifest root must be a JSON object")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise FormatError(f"unsupported format_version {doc.get('format_version')!r}")
-    try:
-        input_shape = tuple(int(d) for d in doc["input_shape"])
-        class_count = int(doc["class_count"])
-        entries = doc["layers"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"manifest missing or malformed field: {exc}") from exc
+    if _json_int(doc.get("format_version"), "format_version", "manifest") != FORMAT_VERSION:
+        raise FormatError(f"unsupported format_version {doc['format_version']!r}")
+    input_shape = tuple(_int_list(doc.get("input_shape"), "input_shape", "manifest"))
+    class_count = _json_int(doc.get("class_count"), "class_count", "manifest")
+    entries = doc.get("layers")
     if not isinstance(entries, list):
         raise FormatError("manifest field 'layers' must be a list of layer objects")
 
@@ -85,7 +83,7 @@ def load_model(manifest_path, weights_path) -> Model:
         name = entry.get("name")
         if not isinstance(name, str) or not name:
             raise FormatError(f"layer entry missing a name: {entry!r}")
-        if kind not in KINDS:
+        if not isinstance(kind, str) or kind not in KINDS:
             raise FormatError(f"layer '{name}': unknown kind '{kind}'")
         for label in ("weight", "bias"):
             has_offset = f"{label}_offset" in entry
@@ -96,13 +94,10 @@ def load_model(manifest_path, weights_path) -> Model:
                 continue
             if KINDS[kind].weight is None:
                 raise FormatError(f"layer '{name}': kind '{kind}' carries no weights")
-            offset = entry[f"{label}_offset"]
-            shape = entry[f"{label}_shape"]
-            if not isinstance(offset, int) or offset < 0:
-                raise FormatError(f"layer '{name}': bad {label}_offset {offset!r}")
-            if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
-                raise FormatError(f"layer '{name}': bad {label}_shape {shape!r}")
-            spans.append((offset, int(np.prod(shape, dtype=np.int64)) * _ITEM_BYTES, name, label))
+            where = f"layer '{name}'"
+            offset = _json_int(entry[f"{label}_offset"], f"{label}_offset", where)
+            shape = _int_list(entry[f"{label}_shape"], f"{label}_shape", where)
+            spans.append((offset, math.prod(shape) * _ITEM_BYTES, name, label))
 
     total = 0
     for offset, nbytes, name, label in spans:
@@ -186,11 +181,14 @@ def detector_scene(quadrant: str = "top-left") -> np.ndarray:
 
 def _read_array(blob: bytes, entry: dict, label: str, name: str) -> np.ndarray:
     shape = entry[f"{label}_shape"]
-    arr = np.frombuffer(blob, dtype="<f4", count=int(np.prod(shape, dtype=np.int64)),
+    arr = np.frombuffer(blob, dtype="<f4", count=math.prod(shape),
                         offset=entry[f"{label}_offset"])
     if not np.isfinite(arr).all():
         raise FormatError(f"layer '{name}': {label} values must be finite")
-    return arr.astype(np.float64).reshape(shape)
+    try:
+        return arr.astype(np.float64).reshape(shape)
+    except ValueError as exc:  # an empty array with a dimension numpy cannot hold
+        raise FormatError(f"layer '{name}': bad {label}_shape {shape}: {exc}") from None
 
 
 def _build_layer(entry: dict, blob: bytes) -> LayerSpec:
@@ -204,13 +202,25 @@ def _build_layer(entry: dict, blob: bytes) -> LayerSpec:
         fields[rules.weight] = _read_array(blob, entry, "weight", name)
         fields["bias"] = _read_array(blob, entry, "bias", name)
     params = entry.get("params", {})
+    if not isinstance(params, dict):
+        raise FormatError(f"layer '{name}': params must be a JSON object, got {params!r}")
     for key, attr in rules.params.items():
-        fields[attr] = _int_param(params, key, name)
+        fields[attr] = _json_int(params.get(key), f"param '{key}'", f"layer '{name}'")
     return LayerSpec(name, kind, **fields)
 
 
-def _int_param(params: dict, key: str, name: str) -> int:
-    try:
-        return int(params[key])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"layer '{name}': missing or malformed param '{key}'") from exc
+def _json_int(value, field: str, where: str) -> int:
+    """A manifest integer: a JSON integer only, never a float, string or bool."""
+    if type(value) is not int:
+        raise FormatError(f"{where}: {field} must be an integer, got {value!r}")
+    return value
+
+
+def _int_list(value, field: str, where: str) -> list[int]:
+    """A manifest shape: a JSON list of non-negative integers."""
+    if not isinstance(value, list):
+        raise FormatError(f"{where}: {field} must be a list of integers, got {value!r}")
+    dims = [_json_int(d, field, where) for d in value]
+    if any(d < 0 for d in dims):
+        raise FormatError(f"{where}: {field} must not be negative, got {value!r}")
+    return dims

@@ -9,13 +9,15 @@ defined by its one entry in `KINDS`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import NonConvLayerError, ShapeError, UnknownLayerError
-from .tensor import Tensor, as_tensor, conv2d, dense, maxpool2d, relu, softmax
+from .errors import NonConvLayerError, ShapeError, SmoothCamError, UnknownLayerError
+from .tensor import (Tensor, as_tensor, conv2d, conv2d_shape, dense, dense_shape, maxpool2d,
+                     maxpool2d_shape, relu, softmax, softmax_shape)
 
 
 @dataclass
@@ -156,19 +158,19 @@ def validate(model: Model) -> dict[str, tuple[int, ...]]:
     """Infer every layer's output shape, raising ShapeError on the first bad layer."""
     if not model.layers:
         raise ShapeError("model has no layers")
-    seen: set[str] = set()
-    for spec in model.layers:
-        if spec.name in seen:
-            raise ShapeError(f"duplicate layer name: {spec.name}")
-        seen.add(spec.name)
     shape = tuple(model.input_shape)
     if len(shape) != 3 or any(d < 1 for d in shape):
         raise ShapeError(f"input shape must be [C,H,W] with positive dims, got {shape}")
     table: dict[str, tuple[int, ...]] = {}
     for spec in model.layers:
+        if spec.name in table:
+            raise ShapeError(f"duplicate layer name: {spec.name}")
         if spec.kind not in KINDS:
             raise ShapeError(f"layer '{spec.name}': unknown kind '{spec.kind}'")
-        shape = KINDS[spec.kind].shape(spec, shape)
+        try:
+            shape = KINDS[spec.kind].shape(spec, shape)
+        except SmoothCamError as exc:
+            raise ShapeError(f"layer '{spec.name}': {exc}") from None
         table[spec.name] = shape
     if shape != (model.class_count,):
         raise ShapeError(
@@ -182,31 +184,11 @@ def validate(model: Model) -> dict[str, tuple[int, ...]]:
 class LayerKind:
     """The rules of one layer kind, read by every pass and by the model files."""
 
-    shape: Callable     # (spec, in_shape) -> out_shape; raises ShapeError
+    shape: Callable     # (spec, in_shape) -> out_shape; the primitive's own rule
     forward: Callable   # (spec, x, gate=None) -> (out, gate); replays a given gate frozen
     backward: Callable  # (spec, grad, recorded_input, recorded_output, gate) -> input grad
     params: dict[str, str] = field(default_factory=dict)  # manifest key -> LayerSpec attribute
     weight: str | None = None  # attribute holding the weight array; None: no weight/bias spans
-
-
-def _conv_shape(spec: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]:
-    name = spec.name
-    if len(in_shape) != 3:
-        raise ShapeError(f"layer '{name}': conv needs a [C,H,W] input, got {in_shape}")
-    if spec.kernels is None or spec.kernels.ndim != 4:
-        raise ShapeError(f"layer '{name}': conv requires [K,C,kh,kw] kernels")
-    if spec.stride < 1 or spec.padding < 0:
-        raise ShapeError(f"layer '{name}': conv needs stride >= 1 and padding >= 0")
-    c, h, w = in_shape
-    kout, kc, kh, kw = spec.kernels.shape
-    if kc != c:
-        raise ShapeError(f"layer '{name}': kernel channels {kc} != input channels {c}")
-    ph, pw = h + 2 * spec.padding, w + 2 * spec.padding
-    if kh > ph or kw > pw:
-        raise ShapeError(f"layer '{name}': kernel {kh}x{kw} exceeds padded input {ph}x{pw}")
-    if (ph - kh) % spec.stride or (pw - kw) % spec.stride:
-        raise ShapeError(f"layer '{name}': non-integral output size")
-    return (kout, (ph - kh) // spec.stride + 1, (pw - kw) // spec.stride + 1)
 
 
 def _conv_input_grad(grad, spec, input_shape):
@@ -232,22 +214,6 @@ def _relu_forward(spec, x, gate=None):
     return x * (gate > 0), gate
 
 
-def _maxpool_shape(spec: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]:
-    name = spec.name
-    if len(in_shape) != 3:
-        raise ShapeError(f"layer '{name}': maxpool needs a [C,H,W] input, got {in_shape}")
-    if spec.pool_size < 1 or spec.stride < 1:
-        raise ShapeError(f"layer '{name}': maxpool needs size >= 1 and stride >= 1")
-    c, h, w = in_shape
-    if h < spec.pool_size or w < spec.pool_size:
-        raise ShapeError(f"layer '{name}': pool window {spec.pool_size} exceeds input {h}x{w}")
-    return (
-        c,
-        (h - spec.pool_size) // spec.stride + 1,
-        (w - spec.pool_size) // spec.stride + 1,
-    )
-
-
 def _maxpool_forward(spec, x, gate=None):
     if gate is None:
         return maxpool2d(x, spec.pool_size, spec.stride)
@@ -265,26 +231,13 @@ def _maxpool_backward(spec, grad, x, out, gate):
     return dx
 
 
-def _dense_shape(spec: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]:
-    if spec.weights is None or spec.weights.ndim != 2:
-        raise ShapeError(f"layer '{spec.name}': dense requires [M,N] weights")
-    m, n = spec.weights.shape
-    if in_shape != (n,):
-        raise ShapeError(f"layer '{spec.name}': dense expects {n} inputs, got {in_shape}")
-    return (m,)
-
-
-def _softmax_shape(spec: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]:
-    if len(in_shape) != 1:
-        raise ShapeError(f"layer '{spec.name}': softmax needs a vector input, got {in_shape}")
-    return in_shape
-
-
 # Entries call the tensor primitives through this module's globals, so
-# anything that rebinds those names (such as a tracer) sees every call.
+# anything that rebinds those names (such as a tracer) sees every call. A
+# missing array has shape (), which the primitives' shape rules reject.
 KINDS: dict[str, LayerKind] = {
     "conv": LayerKind(
-        shape=_conv_shape,
+        shape=lambda spec, in_shape: conv2d_shape(
+            in_shape, np.shape(spec.kernels), np.shape(spec.bias), spec.stride, spec.padding),
         forward=lambda spec, x, gate=None: (
             conv2d(x, spec.kernels, spec.bias, spec.stride, spec.padding), None),
         backward=lambda spec, grad, x, out, gate: _conv_input_grad(grad, spec, x.shape),
@@ -297,24 +250,25 @@ KINDS: dict[str, LayerKind] = {
         backward=lambda spec, grad, x, out, gate: grad * (x > 0),
     ),
     "maxpool": LayerKind(
-        shape=_maxpool_shape,
+        shape=lambda spec, in_shape: maxpool2d_shape(in_shape, spec.pool_size, spec.stride),
         forward=_maxpool_forward,
         backward=_maxpool_backward,
         params={"size": "pool_size", "stride": "stride"},
     ),
     "flatten": LayerKind(
-        shape=lambda spec, in_shape: (int(np.prod(in_shape)),),
+        shape=lambda spec, in_shape: (math.prod(in_shape),),
         forward=lambda spec, x, gate=None: (x.reshape(-1), None),
         backward=lambda spec, grad, x, out, gate: grad.reshape(x.shape),
     ),
     "dense": LayerKind(
-        shape=_dense_shape,
+        shape=lambda spec, in_shape: dense_shape(
+            in_shape, np.shape(spec.weights), np.shape(spec.bias)),
         forward=lambda spec, x, gate=None: (dense(x, spec.weights, spec.bias), None),
         backward=lambda spec, grad, x, out, gate: spec.weights.T @ grad,
         weight="weights",
     ),
     "softmax": LayerKind(
-        shape=_softmax_shape,
+        shape=lambda spec, in_shape: softmax_shape(in_shape),
         forward=lambda spec, x, gate=None: (softmax(x), None),
         # ds_j/dz_i = s_j (delta_ij - s_i)
         backward=lambda spec, grad, x, out, gate: out * (grad - np.dot(grad, out)),

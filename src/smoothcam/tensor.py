@@ -37,21 +37,35 @@ def conv2d(
     x = as_tensor(input)
     k = as_tensor(kernels)
     b = as_tensor(bias)
-    if x.ndim != 3 or k.ndim != 4:
+    kout, hh, ww = conv2d_shape(x.shape, k.shape, b.shape, stride, padding)
+    cin, h, w = x.shape
+    kh, kw = k.shape[2:]
+    ph, pw = h + 2 * padding, w + 2 * padding
+    if padding:
+        x, inner = np.zeros((cin, ph, pw)), x
+        x[:, padding : padding + h, padding : padding + w] = inner
+    # im2col: one GEMM of the flattened kernels with every window's taps.
+    cols = _taps(x, kh, kw, stride, hh, ww).reshape(-1, hh * ww)
+    return (k.reshape(kout, -1) @ cols + b[:, None]).reshape(kout, hh, ww)
+
+
+def conv2d_shape(x_shape, k_shape, b_shape, stride: int, padding: int) -> tuple[int, int, int]:
+    """conv2d's output shape [K,Ho,Wo]: ParamError for a bad stride or padding, else ShapeError."""
+    if len(x_shape) != 3 or len(k_shape) != 4:
         raise ShapeError(
             f"conv2d expects input [C,H,W] and kernels [K,C,kh,kw], "
-            f"got {x.shape} and {k.shape}"
+            f"got {x_shape} and {k_shape}"
         )
     if stride < 1:
         raise ParamError(f"stride must be >= 1, got {stride}")
     if padding < 0:
         raise ParamError(f"padding must be >= 0, got {padding}")
-    cin, h, w = x.shape
-    kout, kc, kh, kw = k.shape
+    cin, h, w = x_shape
+    kout, kc, kh, kw = k_shape
     if kc != cin:
         raise ShapeError(f"kernel channel count {kc} != input channel count {cin}")
-    if b.shape != (kout,):
-        raise ShapeError(f"bias shape {b.shape} does not match kernel count {kout}")
+    if b_shape != (kout,):
+        raise ShapeError(f"bias shape {b_shape} does not match kernel count {kout}")
     ph, pw = h + 2 * padding, w + 2 * padding
     if kh > ph or kw > pw:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {ph}x{pw}")
@@ -60,13 +74,7 @@ def conv2d(
             f"non-integral output size: input {h}x{w}, kernel {kh}x{kw}, "
             f"stride {stride}, padding {padding}"
         )
-    if padding:
-        x, inner = np.zeros((cin, ph, pw)), x
-        x[:, padding : padding + h, padding : padding + w] = inner
-    # im2col: one GEMM of the flattened kernels with every window's taps.
-    hh, ww = (ph - kh) // stride + 1, (pw - kw) // stride + 1
-    cols = _taps(x, kh, kw, stride, hh, ww).reshape(-1, hh * ww)
-    return (k.reshape(kout, -1) @ cols + b[:, None]).reshape(kout, hh, ww)
+    return kout, (ph - kh) // stride + 1, (pw - kw) // stride + 1
 
 
 def _taps(x: Tensor, kh: int, kw: int, stride: int, hh: int, ww: int) -> Tensor:
@@ -91,16 +99,7 @@ def maxpool2d(t: Tensor, size: int, stride: int) -> tuple[Tensor, tuple[Tensor, 
     order, which makes the gradient scatter deterministic.
     """
     x = as_tensor(t)
-    if x.ndim != 3:
-        raise ShapeError(f"maxpool2d expects a [C,H,W] tensor, got shape {x.shape}")
-    if size < 1:
-        raise ParamError(f"pool size must be >= 1, got {size}")
-    if stride < 1:
-        raise ParamError(f"pool stride must be >= 1, got {stride}")
-    c, h, w = x.shape
-    if h < size or w < size:
-        raise ShapeError(f"pool window {size}x{size} exceeds input {h}x{w}")
-    hh, ww = (h - size) // stride + 1, (w - size) // stride + 1
+    c, hh, ww = maxpool2d_shape(x.shape, size, stride)
     taps = _taps(x, size, size, stride, hh, ww)
     # hit[:, k]: np.argmax's pick (first maximum, else first NaN) is at tap k or before.
     hit = (taps == taps.max(axis=1, keepdims=True)) | (taps != taps)
@@ -113,27 +112,53 @@ def maxpool2d(t: Tensor, size: int, stride: int) -> tuple[Tensor, tuple[Tensor, 
     return x[np.arange(c)[:, None, None], rows, cols], (rows, cols)
 
 
+def maxpool2d_shape(x_shape, size: int, stride: int) -> tuple[int, int, int]:
+    """maxpool2d's output shape [C,Ho,Wo]; ParamError for size or stride < 1."""
+    if len(x_shape) != 3:
+        raise ShapeError(f"maxpool2d expects a [C,H,W] tensor, got shape {x_shape}")
+    if size < 1:
+        raise ParamError(f"pool size must be >= 1, got {size}")
+    if stride < 1:
+        raise ParamError(f"pool stride must be >= 1, got {stride}")
+    c, h, w = x_shape
+    if h < size or w < size:
+        raise ShapeError(f"pool window {size}x{size} exceeds input {h}x{w}")
+    return c, (h - size) // stride + 1, (w - size) // stride + 1
+
+
 def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     """Affine map weights @ x + bias for a length-N vector and [M,N] weights."""
     v = as_tensor(x)
     w = as_tensor(weights)
     b = as_tensor(bias)
-    if v.ndim != 1 or w.ndim != 2:
-        raise ShapeError(f"dense expects vector and matrix, got {v.shape} and {w.shape}")
-    if w.shape[1] != v.shape[0]:
-        raise ShapeError(f"weights expect {w.shape[1]} inputs, got {v.shape[0]}")
-    if b.shape != (w.shape[0],):
-        raise ShapeError(f"bias shape {b.shape} does not match output count {w.shape[0]}")
+    dense_shape(v.shape, w.shape, b.shape)
     return w @ v + b
+
+
+def dense_shape(x_shape, w_shape, b_shape) -> tuple[int]:
+    """dense's output shape [M], or ShapeError."""
+    if len(x_shape) != 1 or len(w_shape) != 2:
+        raise ShapeError(f"dense expects vector and matrix, got {x_shape} and {w_shape}")
+    if w_shape[1] != x_shape[0]:
+        raise ShapeError(f"weights expect {w_shape[1]} inputs, got {x_shape[0]}")
+    if b_shape != (w_shape[0],):
+        raise ShapeError(f"bias shape {b_shape} does not match output count {w_shape[0]}")
+    return (w_shape[0],)
 
 
 def softmax(logits: Tensor) -> Tensor:
     """Numerically stable softmax of a vector (max-subtracted)."""
     v = as_tensor(logits)
-    if v.ndim != 1 or v.size < 1:
-        raise ShapeError(f"softmax expects a non-empty vector, got shape {v.shape}")
+    softmax_shape(v.shape)
     e = np.exp(v - v.max())
     return e / e.sum()
+
+
+def softmax_shape(x_shape) -> tuple[int]:
+    """softmax's output shape (its input's), or ShapeError unless a non-empty vector."""
+    if len(x_shape) != 1 or x_shape[0] < 1:
+        raise ShapeError(f"softmax expects a non-empty vector, got shape {x_shape}")
+    return x_shape
 
 
 def add_gaussian_noise(t: Tensor, sigma: float, rng: np.random.Generator) -> Tensor:

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from smoothcam import Model, detector_scene, read_ppm, save_model, write_ppm, RgbImage
+from smoothcam import (Model, RgbImage, build_fixture, detector_scene, read_ppm, save_model,
+                       write_ppm)
 from smoothcam.cli import run_cli
 
 
@@ -304,3 +310,158 @@ def test_smoothgrad_needs_no_layer(tmp_path, model_files, scene_ppm):
             "--out", str(tmp_path / "out")]
     assert run_cli(args) == 0
     assert (tmp_path / "out" / "heatmap.ppm").exists()
+
+
+def test_list_layers_rejects_wrong_length_conv_bias(tmp_path, capsys):
+    # save_model needs a valid Model, so this manifest and blob are written by hand:
+    # conv1 has 2 kernels but 3 biases.
+    arrays = {"conv1": (np.ones((2, 1, 3, 3)), np.zeros(3)),
+              "dense1": (np.ones((2, 8)), np.zeros(2))}
+    layers, blob = [], b""
+    for name, kind, params in [("conv1", "conv", {"stride": 1, "padding": 0}),
+                               ("flatten1", "flatten", {}), ("dense1", "dense", {})]:
+        entry = {"name": name, "kind": kind, "params": params}
+        for label, arr in zip(("weight", "bias"), arrays.get(name, ())):
+            entry[f"{label}_offset"], entry[f"{label}_shape"] = len(blob), list(arr.shape)
+            blob += arr.astype("<f4").tobytes()
+        layers.append(entry)
+    manifest, weights = tmp_path / "model.json", tmp_path / "model.bin"
+    manifest.write_text(json.dumps({"format_version": 1, "input_shape": [1, 4, 4],
+                                    "class_count": 2, "layers": layers}))
+    weights.write_bytes(blob)
+    assert run_cli(["list-layers", "--model", str(manifest), "--weights", str(weights)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: layer 'conv1': bias") and len(err.splitlines()) == 1
+
+
+# (field path in the manifest, raw JSON text put there): each is not a JSON integer.
+_NOT_INTEGERS = {
+    "format_version-1.0": (("format_version",), "1.0"),
+    "format_version-bool": (("format_version",), "true"),
+    "input_shape-1e400": (("input_shape", 1), "1e400"),
+    "class_count-1e400": (("class_count",), "1e400"),
+    "conv-stride-1e400": (("layers", 0, "params", "stride"), "1e400"),
+    "conv-padding-1e400": (("layers", 0, "params", "padding"), "1e400"),
+    "pool-size-1e400": (("layers", 2, "params", "size"), "1e400"),
+    "pool-stride-1e400": (("layers", 2, "params", "stride"), "1e400"),
+    "input_shape-16.7": (("input_shape", 1), "16.7"),
+    "class_count-10.5": (("class_count",), "10.5"),
+    "conv-stride-1.9": (("layers", 0, "params", "stride"), "1.9"),
+    "conv-stride-string": (("layers", 0, "params", "stride"), '"1"'),
+    "conv-stride-bool": (("layers", 0, "params", "stride"), "true"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_INTEGERS))
+def test_list_layers_rejects_non_integer_manifest_fields(model_files, capsys, case):
+    path, raw = _NOT_INTEGERS[case]
+    manifest, weights = model_files
+    doc = json.loads(Path(manifest).read_text())
+    _set_field(doc, path, "@RAW@")
+    Path(manifest).write_text(json.dumps(doc).replace('"@RAW@"', raw))
+    assert run_cli(["list-layers", "--model", manifest, "--weights", weights]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    field = path[-1] if isinstance(path[-1], str) else path[0]
+    assert field in err
+    if path[0] == "layers":
+        assert f"layer '{doc['layers'][path[1]]['name']}'" in err
+
+
+def test_list_layers_rejects_non_utf8_manifest(model_files, capsys):
+    manifest, weights = model_files
+    Path(manifest).write_bytes(Path(manifest).read_bytes().replace(b'"conv1"', b'"conv\xff1"'))
+    assert run_cli(["list-layers", "--model", manifest, "--weights", weights]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest is not valid UTF-8") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", ["heatmap.ppm", "overlay.ppm", "map.csv"])
+def test_explain_replaces_a_symlinked_output_file(tmp_path, model_files, scene_ppm, name):
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    assert run_cli(_explain_args(model_files, scene_ppm, str(fresh))) == 0
+    target = tmp_path / "target"
+    target.write_bytes(b"not an output\n")
+    out.mkdir()
+    (out / name).symlink_to(target)
+    assert run_cli(_explain_args(model_files, scene_ppm, str(out))) == 0
+    assert not (out / name).is_symlink()
+    assert target.read_bytes() == b"not an output\n"
+    assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+
+# Front-door fuzzing: any JSON value (or none) in one field must end in exit 0, 1 or 2,
+# with one stderr line on failure and no exception escaping run_cli.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from([float("inf"), float("-inf"), float("nan")]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=4),
+    max_leaves=8,
+)
+_DELETE = object()
+
+
+def _set_field(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    if value is _DELETE:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+def _field_paths(node, prefix=()):
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    for key in keys:
+        yield prefix + (key,)
+        if isinstance(node[key], (dict, list)):
+            yield from _field_paths(node[key], prefix + (key,))
+
+
+def _run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    return code, err.getvalue()
+
+
+def _assert_clean_exit(code, err):
+    assert code in (0, 1, 2)
+    if code:
+        assert len(err.splitlines()) == 1, err
+
+
+@given(data=st.data())
+def test_list_layers_survives_any_manifest_field(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        saved, weights = Path(tmp) / "model.json", Path(tmp) / "model.bin"
+        save_model(build_fixture("random", seed=7), saved, weights)
+        doc = json.loads(saved.read_text())
+        path = data.draw(st.sampled_from(list(_field_paths(doc))), label="field")
+        _set_field(doc, path, data.draw(st.just(_DELETE) | _JSON, label="value"))
+        # A new file: rewriting one in place can wait on a filesystem flush.
+        manifest = Path(tmp) / "mutated.json"
+        manifest.write_text(json.dumps(doc))
+        _assert_clean_exit(*_run_quiet(["list-layers", "--model", str(manifest),
+                                        "--weights", str(weights)]))
+
+
+@given(field=st.sampled_from(["magic", "width", "height", "maxval"]),
+       value=st.just(_DELETE) | _JSON)
+def test_explain_survives_any_ppm_header_field(field, value):
+    tokens = {"magic": "P6", "width": "16", "height": "16", "maxval": "255"}
+    if value is _DELETE:
+        tokens[field] = ""
+    else:
+        tokens[field] = value if isinstance(value, str) else json.dumps(value)
+    header = "{magic}\n{width} {height}\n{maxval}\n".format(**tokens)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_model(build_fixture("random", seed=7), tmp / "model.json", tmp / "model.bin")
+        (tmp / "scene.ppm").write_bytes(header.encode("utf-8") + bytes(range(256)) * 3)
+        _assert_clean_exit(*_run_quiet([
+            "explain", "--model", str(tmp / "model.json"), "--weights", str(tmp / "model.bin"),
+            "--image", str(tmp / "scene.ppm"), "--method", "gradcam", "--layer", "conv1",
+            "--out", str(tmp / "out")]))

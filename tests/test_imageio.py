@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -66,6 +68,13 @@ def test_read_ppm_truncation_reports_offset(tmp_path):
         read_ppm(path)
 
 
+def test_read_ppm_rejects_overlong_header_integer(tmp_path):
+    # More digits than int() converts must be a format error, not a ValueError.
+    path = _write(tmp_path / "long.ppm", b"P6 " + b"1" * 5000 + b" 1 255\n" + bytes(3))
+    with pytest.raises(FormatError, match="offset 3"):
+        read_ppm(path)
+
+
 def test_ppm_roundtrip_is_byte_identical(tmp_path, rng):
     pixels = bytes(rng.integers(0, 256, size=3 * 4 * 3, dtype=np.uint8))
     img = RgbImage(width=4, height=3, pixels=pixels)
@@ -118,6 +127,23 @@ def test_to_input_tensor_rejects_size_mismatch():
 def test_colormap_golden_values():
     for v, want in COLORMAP_GOLDENS.items():
         assert colormap(v) == want
+
+
+def _scalar_colormap(v):
+    # The documented formula, one channel at a time in plain Python floats.
+    v = min(max(v, 0.0), 1.0)
+    return tuple(int(math.floor(255.0 * min(max(1.5 - abs(4.0 * v - c), 0.0), 1.0) + 0.5))
+                 for c in (3.0, 2.0, 1.0))
+
+
+@given(v=st.floats(allow_nan=False) | st.sampled_from([0.125, 0.375, 0.625, 0.875]))
+def test_colormap_matches_the_scalar_formula(v):
+    assert colormap(v) == _scalar_colormap(v)
+
+
+def test_colormap_rejects_nan():
+    with pytest.raises(ValueError):
+        colormap(float("nan"))
 
 
 def test_colormap_clamps_out_of_range():

@@ -83,6 +83,19 @@ def test_non_finite_weights_rejected(saved_fixture, bad):
         load_model(manifest, weights)
 
 
+def test_empty_shape_too_large_for_numpy_rejected(saved_fixture):
+    # dense1's bias is the last span: a zero-size shape keeps offsets and blob length
+    # consistent, but numpy cannot hold an array with a dimension of 2**62.
+    manifest, weights = saved_fixture
+    doc = json.loads(manifest.read_text())
+    dense = next(e for e in doc["layers"] if e["name"] == "dense1")
+    dense["bias_shape"] = [0, 2**62]
+    manifest.write_text(json.dumps(doc))
+    weights.write_bytes(weights.read_bytes()[: dense["bias_offset"]])
+    with pytest.raises(FormatError, match="layer 'dense1': bad bias_shape"):
+        load_model(manifest, weights)
+
+
 def test_overlapping_offsets_rejected(saved_fixture):
     manifest, weights = saved_fixture
     doc = json.loads(manifest.read_text())

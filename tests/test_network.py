@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from smoothcam import (
     Model,
     ShapeError,
+    SmoothCamError,
+    conv2d,
     conv_layer,
     dense_layer,
     flatten_layer,
     forward,
     list_conv_layers,
+    maxpool2d,
     maxpool_layer,
     relu_layer,
     softmax_layer,
@@ -56,6 +61,58 @@ def test_wrong_class_count_rejected():
     layers = [flatten_layer("f"), dense_layer("d", np.ones((3, 4)), np.zeros(3))]
     with pytest.raises(ShapeError):
         Model(layers=layers, input_shape=(1, 2, 2), class_count=5)
+
+
+# conv1 (1 kernel) -> flatten -> dense1 (1 output) on 1x4x4; each case breaks one bias.
+_BAD_BIAS = {
+    "conv-bias-length": ("conv1", np.zeros(2), np.zeros(1)),
+    "dense-bias-length": ("dense1", np.zeros(1), np.zeros(3)),
+    "conv-bias-none": ("conv1", None, np.zeros(1)),
+    "dense-bias-none": ("dense1", np.zeros(1), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_BIAS))
+def test_bad_bias_names_layer(case):
+    layer, conv_bias, dense_bias = _BAD_BIAS[case]
+    layers = [
+        conv_layer("conv1", np.ones((1, 1, 3, 3)), conv_bias),
+        flatten_layer("flatten1"),
+        dense_layer("dense1", np.ones((1, 4)), dense_bias),
+    ]
+    with pytest.raises(ShapeError, match=f"layer '{layer}': bias"):
+        Model(layers=layers, input_shape=(1, 4, 4), class_count=1)
+
+
+@given(channels=st.integers(1, 2), kernel_channels=st.integers(1, 2), h=st.integers(1, 8),
+       w=st.integers(1, 8), kh=st.integers(1, 4), kw=st.integers(1, 4),
+       stride=st.integers(-1, 3), padding=st.integers(-1, 2), pool=st.integers(-1, 4),
+       kind=st.sampled_from(["conv", "maxpool"]))
+def test_model_validation_is_the_primitive_rule(channels, kernel_channels, h, w, kh, kw, stride,
+                                                padding, pool, kind):
+    # A one-layer-plus-flatten/dense model builds exactly when the primitive runs on a
+    # zero input, and validate then reports the primitive's output shape.
+    x = np.zeros((channels, h, w))
+    if kind == "conv":
+        kernels, bias = np.zeros((2, kernel_channels, kh, kw)), np.zeros(2)
+        spec = conv_layer("probe", kernels, bias, stride, padding)
+        run = lambda: conv2d(x, kernels, bias, stride, padding)
+    else:
+        spec = maxpool_layer("probe", pool, stride)
+        run = lambda: maxpool2d(x, pool, stride)[0]
+
+    def build(features):
+        layers = [spec, flatten_layer("flatten1"),
+                  dense_layer("dense1", np.zeros((2, features)), np.zeros(2))]
+        return Model(layers=layers, input_shape=(channels, h, w), class_count=2)
+
+    try:
+        out = run()
+    except SmoothCamError:
+        with pytest.raises(ShapeError, match="layer 'probe': "):
+            build(1)
+        return
+    assert validate(build(out.size))["probe"] == out.shape
 
 
 def _two_layer_net():
