@@ -114,9 +114,11 @@ def _cmd_explain(args) -> None:
         jobs = [("", request)]
     results = [(suffix, saliency.run(model, x, req)) for suffix, req in jobs]
     chosen = results[0][1].meta["class"]
-    if not all(np.isfinite(smap.display).all() for _, smap in results):
+    score_value = request.score.value(forward(model, x).logits, chosen)
+    finite_maps = all(np.isfinite(smap.display).all() for _, smap in results)
+    if not (finite_maps and np.isfinite(score_value)):
         raise NonFiniteMapError(
-            f"{request.method} map for class {chosen} is not finite: the class score overflowed"
+            f"{request.method} output for class {chosen} is not finite: the class score overflowed"
         )
 
     out_dir = Path(args.out)
@@ -128,9 +130,6 @@ def _cmd_explain(args) -> None:
                           out_dir / f"overlay{suffix}.ppm")
         imageio.write_map_csv(smap.display, out_dir / f"map{suffix}.csv", header=header)
 
-    trace = forward(model, x)
-    logit = float(trace.logits[chosen])
-    score_value = logit if request.score.mode == "raw-logit" else float(np.exp(logit))
     print(f"class {chosen}")
     print(f"score {score_value:.9f}")
 

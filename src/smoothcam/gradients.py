@@ -42,6 +42,14 @@ class ScoreMode:
             raise ParamError(f"class index {c} out of range [0, {class_count})")
         return c
 
+    def value(self, logits: Tensor, class_index: int) -> float:
+        """This mode's score of a resolved class, computed from the logits."""
+        if self.mode == "raw-logit":
+            return float(logits[class_index])
+        if self.mode == "exp-logit":
+            return float(np.exp(logits[class_index]))
+        return float(softmax(logits)[class_index])
+
 
 @dataclass(frozen=True)
 class GradientTriple:
@@ -132,21 +140,12 @@ def _central_diff(model, trace, score, start_index, base, h):
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h
-        f_plus = _frozen_score(model, trace, start_index, work, score.mode, c)
+        f_plus = score.value(_frozen_tail_logits(model, trace, start_index, work), c)
         flat[i] = orig - h
-        f_minus = _frozen_score(model, trace, start_index, work, score.mode, c)
+        f_minus = score.value(_frozen_tail_logits(model, trace, start_index, work), c)
         flat[i] = orig
         out_flat[i] = (f_plus - f_minus) / (2.0 * h)
     return out
-
-
-def _frozen_score(model, trace, start_index, value, mode, class_index):
-    logits = _frozen_tail_logits(model, trace, start_index, value)
-    if mode == "raw-logit":
-        return float(logits[class_index])
-    if mode == "exp-logit":
-        return float(np.exp(logits[class_index]))
-    return float(softmax(logits)[class_index])
 
 
 def _frozen_tail_logits(model, trace, start_index, value):

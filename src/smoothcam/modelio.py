@@ -75,7 +75,8 @@ def load_model(manifest_path, weights_path) -> Model:
     if not isinstance(entries, list):
         raise FormatError("manifest field 'layers' must be a list of layer objects")
 
-    spans = []  # (offset, nbytes, layer name, label)
+    total = 0
+    specs = []  # (name, kind, integer fields, {array attribute: (label, offset, shape)})
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise FormatError(f"layer {i}: entry must be a JSON object, got {entry!r}")
@@ -83,38 +84,56 @@ def load_model(manifest_path, weights_path) -> Model:
         name = entry.get("name")
         if not isinstance(name, str) or not name:
             raise FormatError(f"layer entry missing a name: {entry!r}")
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise FormatError(f"layer {i}: name {name!r} cannot be encoded as UTF-8") from None
         if not isinstance(kind, str) or kind not in KINDS:
             raise FormatError(f"layer '{name}': unknown kind '{kind}'")
-        for label in ("weight", "bias"):
+        rules = KINDS[kind]
+        where = f"layer '{name}'"
+        arrays = {}
+        for label, attr in (("weight", rules.weight), ("bias", "bias")):
             has_offset = f"{label}_offset" in entry
-            has_shape = f"{label}_shape" in entry
-            if has_offset != has_shape:
-                raise FormatError(f"layer '{name}': {label} offset/shape must appear together")
+            if has_offset != (f"{label}_shape" in entry):
+                raise FormatError(f"{where}: {label} offset/shape must appear together")
             if not has_offset:
                 continue
-            if KINDS[kind].weight is None:
-                raise FormatError(f"layer '{name}': kind '{kind}' carries no weights")
-            where = f"layer '{name}'"
+            if rules.weight is None:
+                raise FormatError(f"{where}: kind '{kind}' carries no weights")
             offset = _json_int(entry[f"{label}_offset"], f"{label}_offset", where)
             shape = _int_list(entry[f"{label}_shape"], f"{label}_shape", where)
-            spans.append((offset, math.prod(shape) * _ITEM_BYTES, name, label))
-
-    total = 0
-    for offset, nbytes, name, label in spans:
-        if offset != total:
-            raise FormatError(
-                f"layer '{name}': {label}_offset {offset} overlaps or leaves a gap "
-                f"(expected {total})"
-            )
-        total += nbytes
+            if offset != total:
+                raise FormatError(
+                    f"{where}: {label}_offset {offset} overlaps or leaves a gap "
+                    f"(expected {total})"
+                )
+            total += math.prod(shape) * _ITEM_BYTES
+            arrays[attr] = (label, offset, shape)
+        if rules.weight is not None and len(arrays) != 2:
+            raise FormatError(f"{where}: {kind} requires weight and bias spans")
+        params = entry.get("params", {})
+        if not isinstance(params, dict):
+            raise FormatError(f"{where}: params must be a JSON object, got {params!r}")
+        fields = {attr: _json_int(params.get(key), f"param '{key}'", where)
+                  for key, attr in rules.params.items()}
+        specs.append((name, kind, fields, arrays))
 
     blob = Path(weights_path).read_bytes()
     if len(blob) != total:
         raise LengthError(f"weight blob is {len(blob)} bytes, expected {total}")
 
     layers = []
-    for entry in entries:
-        layers.append(_build_layer(entry, blob))
+    for name, kind, fields, arrays in specs:
+        for attr, (label, offset, shape) in arrays.items():
+            arr = np.frombuffer(blob, dtype="<f4", count=math.prod(shape), offset=offset)
+            if not np.isfinite(arr).all():
+                raise FormatError(f"layer '{name}': {label} values must be finite")
+            try:
+                fields[attr] = arr.astype(np.float64).reshape(shape)
+            except ValueError as exc:  # an empty array with a dimension numpy cannot hold
+                raise FormatError(f"layer '{name}': bad {label}_shape {shape}: {exc}") from None
+        layers.append(LayerSpec(name, kind, **fields))
     return Model(layers=layers, input_shape=input_shape, class_count=class_count)
 
 
@@ -177,36 +196,6 @@ def detector_scene(quadrant: str = "top-left") -> np.ndarray:
     rs, cs = spans[quadrant]
     img[0, rs, cs] = 1.0
     return img
-
-
-def _read_array(blob: bytes, entry: dict, label: str, name: str) -> np.ndarray:
-    shape = entry[f"{label}_shape"]
-    arr = np.frombuffer(blob, dtype="<f4", count=math.prod(shape),
-                        offset=entry[f"{label}_offset"])
-    if not np.isfinite(arr).all():
-        raise FormatError(f"layer '{name}': {label} values must be finite")
-    try:
-        return arr.astype(np.float64).reshape(shape)
-    except ValueError as exc:  # an empty array with a dimension numpy cannot hold
-        raise FormatError(f"layer '{name}': bad {label}_shape {shape}: {exc}") from None
-
-
-def _build_layer(entry: dict, blob: bytes) -> LayerSpec:
-    name = entry["name"]
-    kind = entry["kind"]
-    rules = KINDS[kind]
-    fields = {}
-    if rules.weight is not None:
-        if "weight_offset" not in entry or "bias_offset" not in entry:
-            raise FormatError(f"layer '{name}': {kind} requires weight and bias spans")
-        fields[rules.weight] = _read_array(blob, entry, "weight", name)
-        fields["bias"] = _read_array(blob, entry, "bias", name)
-    params = entry.get("params", {})
-    if not isinstance(params, dict):
-        raise FormatError(f"layer '{name}': params must be a JSON object, got {params!r}")
-    for key, attr in rules.params.items():
-        fields[attr] = _json_int(params.get(key), f"param '{key}'", f"layer '{name}'")
-    return LayerSpec(name, kind, **fields)
 
 
 def _json_int(value, field: str, where: str) -> int:

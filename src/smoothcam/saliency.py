@@ -13,7 +13,7 @@ regardless of how callers schedule the per-sample passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,6 +104,8 @@ class SaliencyRequest:
                 raise ParamError(f"method '{self.method}' requires a conv layer name")
             if self.method != "gradcam" and self.score.mode == "raw-logit":
                 raise ParamError(f"{self.method} needs exp-logit: raw-logit zeroes every alpha")
+            if self.score.mode == "probability":
+                raise ParamError(f"{self.method} has no probability score: use exp-logit")
         elif self.filters is not None or self.neurons is not None:
             raise ParamError(
                 f"filters and neuron selections only apply to CAM methods, not '{self.method}'"
@@ -124,28 +126,24 @@ class SaliencyMap:
 def smooth_triple(
     model: Model, input: Tensor, request: SaliencyRequest
 ) -> tuple[GradientTriple, Tensor]:
-    """Noise-averaged derivative stacks plus the reference activation stack.
+    """Sample-averaged derivative stacks plus the reference activation stack.
 
-    For each sample the input is perturbed with Gaussian noise of absolute
-    sigma = sigma_rel * (max(input) - min(input)), forwarded, and the
-    raw-logit gradient at the target layer is expanded into the score's
-    derivative triple. The elementwise means accumulate in fixed sample
-    order. The returned activations are taken from the un-noised pass
-    (activation_source="original") or averaged across samples ("averaged").
+    Each of the request's samples (`_samples`) is forwarded, and the raw-logit
+    gradient at the target layer is expanded into the score's derivative
+    triple for the un-noised pass's class. The elementwise means accumulate in
+    fixed sample order. The returned activations are taken from the un-noised
+    pass (activation_source="original") or averaged across samples ("averaged").
     """
     model.conv_index(request.layer)
     x = as_tensor(input)
     base = forward(model, x)
     c = request.score.resolve_class(base, model.class_count)
-    sigma_abs = request.sigma_rel * (float(x.max()) - float(x.min()))
     layer_shape = base.per_layer[request.layer].shape
     sums = [np.zeros(layer_shape) for _ in range(3)]
     act_sum = np.zeros(layer_shape)
     raw_score = ScoreMode("raw-logit", c)
-    for s in range(request.n):
-        rng = _sample_rng(request.seed, s)
-        noisy = add_gaussian_noise(x, sigma_abs, rng)
-        tr = forward(model, noisy)
+    for n, sample in enumerate(_samples(x, request), 1):
+        tr = forward(model, sample)
         g = grad_wrt_layer(model, tr, raw_score, request.layer)
         triple = higher_order_triple(g, float(tr.logits[c]), request.score.mode)
         sums[0] += triple.d1
@@ -153,10 +151,9 @@ def smooth_triple(
         sums[2] += triple.d3
         if request.activation_source == "averaged":
             act_sum += tr.per_layer[request.layer]
-    n = float(request.n)
-    averaged = GradientTriple(sums[0] / n, sums[1] / n, sums[2] / n)
+    averaged = GradientTriple(sums[0] / float(n), sums[1] / float(n), sums[2] / float(n))
     if request.activation_source == "averaged":
-        activations = act_sum / n
+        activations = act_sum / float(n)
     else:
         activations = base.per_layer[request.layer]
     return averaged, activations
@@ -239,14 +236,10 @@ def smoothgrad_map(model: Model, input: Tensor, request: SaliencyRequest) -> Sal
     x = as_tensor(input)
     base = forward(model, x)
     c = request.score.resolve_class(base, model.class_count)
-    n, sigma_rel = (1, 0.0) if request.method == "sensitivity" else (request.n, request.sigma_rel)
-    sigma_abs = sigma_rel * (float(x.max()) - float(x.min()))
     score = ScoreMode(request.score.mode, c)
     acc = np.zeros_like(x)
-    for s in range(n):
-        rng = _sample_rng(request.seed, s)
-        noisy = add_gaussian_noise(x, sigma_abs, rng)
-        acc += grad_wrt_input(model, noisy, score)
+    for n, sample in enumerate(_samples(x, request), 1):
+        acc += grad_wrt_input(model, sample, score)
     avg = acc / float(n)
     raw = np.abs(avg).max(axis=0)
     display = postprocess(raw, x.shape[1], x.shape[2])
@@ -279,11 +272,7 @@ def run(model: Model, input: Tensor, request: SaliencyRequest) -> SaliencyMap:
         # Grad-CAM reads d1 only, so no higher-order stacks are formed.
         triple, activations = GradientTriple(g, g, g), base.per_layer[request.layer]
     else:
-        effective = request
-        if request.method == "gradcampp":
-            effective = replace(request, n=1, sigma_rel=0.0)
-        pinned = replace(effective, score=ScoreMode(request.score.mode, c))
-        triple, activations = smooth_triple(model, x, pinned)
+        triple, activations = smooth_triple(model, x, request)
     if request.neurons is not None:
         activations, triple = apply_selection(activations, triple, request.neurons)
     if request.method == "gradcam":
@@ -296,9 +285,20 @@ def run(model: Model, input: Tensor, request: SaliencyRequest) -> SaliencyMap:
     return SaliencyMap(raw=raw, display=display, meta=_meta(request, c))
 
 
-def _sample_rng(seed: int, sample_index: int) -> np.random.Generator:
-    """Independent generator for one sample, derived from (master seed, index)."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(sample_index,)))
+def _samples(x: Tensor, request: SaliencyRequest):
+    """The inputs a request averages over, in ascending sample order.
+
+    smoothgrad and smooth-gradcampp get n copies of x, sample s noised with
+    sigma = sigma_rel * (max(x) - min(x)) drawn from (master seed, s). Every
+    other method gets x itself, once, whatever n and sigma_rel say.
+    """
+    if request.method not in ("smoothgrad", "smooth-gradcampp"):
+        yield x
+        return
+    sigma_abs = request.sigma_rel * (float(x.max()) - float(x.min()))
+    for s in range(request.n):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=request.seed, spawn_key=(s,)))
+        yield add_gaussian_noise(x, sigma_abs, rng)
 
 
 def _normalize_filters(filters, k: int) -> np.ndarray:

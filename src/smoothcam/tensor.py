@@ -62,6 +62,8 @@ def conv2d_shape(x_shape, k_shape, b_shape, stride: int, padding: int) -> tuple[
         raise ParamError(f"padding must be >= 0, got {padding}")
     cin, h, w = x_shape
     kout, kc, kh, kw = k_shape
+    if kout < 1 or kh < 1 or kw < 1:
+        raise ShapeError(f"conv2d needs at least one kernel of at least 1x1, got {k_shape}")
     if kc != cin:
         raise ShapeError(f"kernel channel count {kc} != input channel count {cin}")
     if b_shape != (kout,):

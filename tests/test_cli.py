@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import smoothcam
 from smoothcam import (Model, RgbImage, build_fixture, detector_scene, read_ppm, save_model,
                        write_ppm)
 from smoothcam.cli import run_cli
@@ -245,7 +249,7 @@ def test_non_finite_weights_are_a_data_error(tmp_path, model_files, scene_ppm, c
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("method,layer", [
     ("smooth-gradcampp", "conv1"), ("gradcampp", "conv1"), ("smoothgrad", None),
-    ("sensitivity", None),
+    ("sensitivity", None), ("gradcam", "conv1"),
 ])
 def test_non_finite_map_is_a_data_error(tmp_path, random_model, scene_ppm, capsys, method, layer):
     shifted = Model(
@@ -312,26 +316,64 @@ def test_smoothgrad_needs_no_layer(tmp_path, model_files, scene_ppm):
     assert (tmp_path / "out" / "heatmap.ppm").exists()
 
 
-def test_list_layers_rejects_wrong_length_conv_bias(tmp_path, capsys):
-    # save_model needs a valid Model, so this manifest and blob are written by hand:
-    # conv1 has 2 kernels but 3 biases.
-    arrays = {"conv1": (np.ones((2, 1, 3, 3)), np.zeros(3)),
-              "dense1": (np.ones((2, 8)), np.zeros(2))}
+def _write_conv_dense(tmp_path, conv, dense, input_shape, conv_name="conv1"):
+    """A conv -> flatten -> dense manifest and blob, written by hand.
+
+    save_model needs a valid Model, so this writes models that Model rejects.
+    """
+    arrays = {"conv": conv, "dense": dense}
     layers, blob = [], b""
-    for name, kind, params in [("conv1", "conv", {"stride": 1, "padding": 0}),
+    for name, kind, params in [(conv_name, "conv", {"stride": 1, "padding": 0}),
                                ("flatten1", "flatten", {}), ("dense1", "dense", {})]:
         entry = {"name": name, "kind": kind, "params": params}
-        for label, arr in zip(("weight", "bias"), arrays.get(name, ())):
+        for label, arr in zip(("weight", "bias"), arrays.get(kind, ())):
             entry[f"{label}_offset"], entry[f"{label}_shape"] = len(blob), list(arr.shape)
             blob += arr.astype("<f4").tobytes()
         layers.append(entry)
     manifest, weights = tmp_path / "model.json", tmp_path / "model.bin"
-    manifest.write_text(json.dumps({"format_version": 1, "input_shape": [1, 4, 4],
+    manifest.write_text(json.dumps({"format_version": 1, "input_shape": input_shape,
                                     "class_count": 2, "layers": layers}))
     weights.write_bytes(blob)
-    assert run_cli(["list-layers", "--model", str(manifest), "--weights", str(weights)]) == 2
+    return str(manifest), str(weights)
+
+
+def test_list_layers_rejects_wrong_length_conv_bias(tmp_path, capsys):
+    # conv1 has 2 kernels but 3 biases.
+    manifest, weights = _write_conv_dense(tmp_path, (np.ones((2, 1, 3, 3)), np.zeros(3)),
+                                          (np.ones((2, 8)), np.zeros(2)), [1, 4, 4])
+    assert run_cli(["list-layers", "--model", manifest, "--weights", weights]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: layer 'conv1': bias") and len(err.splitlines()) == 1
+
+
+def test_zero_kernel_conv_is_a_data_error(tmp_path, scene_ppm, capsys):
+    # No kernels: conv1's maps are empty and dense1 reads zero features.
+    manifest, weights = _write_conv_dense(tmp_path, (np.ones((0, 1, 3, 3)), np.zeros(0)),
+                                          (np.ones((2, 0)), np.zeros(2)), [1, 16, 16])
+    out = tmp_path / "out"
+    for argv in (["list-layers"], ["explain", "--image", scene_ppm, "--method", "gradcam",
+                                   "--layer", "conv1", "--out", str(out)]):
+        assert run_cli([*argv, "--model", manifest, "--weights", weights]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: layer 'conv1': ")
+    assert not out.exists()
+
+
+def test_list_layers_rejects_a_layer_name_not_encodable_as_utf8(tmp_path):
+    # A lone surrogate is valid JSON but cannot be printed to a UTF-8 stdout, which an
+    # in-process capture into a StringIO would not show, so this runs the real command.
+    manifest, weights = _write_conv_dense(tmp_path, (np.ones((1, 1, 3, 3)), np.zeros(1)),
+                                          (np.ones((2, 4)), np.zeros(2)), [1, 4, 4],
+                                          conv_name="\ud800")
+    env = {**os.environ, "PYTHONPATH": str(Path(smoothcam.__file__).parents[1]),
+           "PYTHONIOENCODING": "utf-8"}
+    done = subprocess.run([sys.executable, "-c", "from smoothcam.cli import main; main()",
+                           "list-layers", "--model", manifest, "--weights", weights],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: layer 0: ")
 
 
 # (field path in the manifest, raw JSON text put there): each is not a JSON integer.

@@ -96,6 +96,15 @@ def test_empty_shape_too_large_for_numpy_rejected(saved_fixture):
         load_model(manifest, weights)
 
 
+def test_layer_name_not_encodable_as_utf8_rejected(saved_fixture):
+    manifest, weights = saved_fixture
+    doc = json.loads(manifest.read_text())
+    doc["layers"][2]["name"] = "\ud800"
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="layer 2: name"):
+        load_model(manifest, weights)
+
+
 def test_overlapping_offsets_rejected(saved_fixture):
     manifest, weights = saved_fixture
     doc = json.loads(manifest.read_text())

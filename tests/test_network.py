@@ -84,17 +84,17 @@ def test_bad_bias_names_layer(case):
         Model(layers=layers, input_shape=(1, 4, 4), class_count=1)
 
 
-@given(channels=st.integers(1, 2), kernel_channels=st.integers(1, 2), h=st.integers(1, 8),
-       w=st.integers(1, 8), kh=st.integers(1, 4), kw=st.integers(1, 4),
+@given(channels=st.integers(1, 2), count=st.integers(0, 2), kernel_channels=st.integers(1, 2),
+       h=st.integers(1, 8), w=st.integers(1, 8), kh=st.integers(0, 4), kw=st.integers(0, 4),
        stride=st.integers(-1, 3), padding=st.integers(-1, 2), pool=st.integers(-1, 4),
        kind=st.sampled_from(["conv", "maxpool"]))
-def test_model_validation_is_the_primitive_rule(channels, kernel_channels, h, w, kh, kw, stride,
-                                                padding, pool, kind):
+def test_model_validation_is_the_primitive_rule(channels, count, kernel_channels, h, w, kh, kw,
+                                                stride, padding, pool, kind):
     # A one-layer-plus-flatten/dense model builds exactly when the primitive runs on a
     # zero input, and validate then reports the primitive's output shape.
     x = np.zeros((channels, h, w))
     if kind == "conv":
-        kernels, bias = np.zeros((2, kernel_channels, kh, kw)), np.zeros(2)
+        kernels, bias = np.zeros((count, kernel_channels, kh, kw)), np.zeros(count)
         spec = conv_layer("probe", kernels, bias, stride, padding)
         run = lambda: conv2d(x, kernels, bias, stride, padding)
     else:

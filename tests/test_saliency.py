@@ -28,6 +28,7 @@ from smoothcam import (
     smooth_triple,
     smoothgrad_map,
 )
+from smoothcam.saliency import CAM_METHODS, METHODS
 
 
 def _constant_triple(shape, d1, d2, d3):
@@ -436,11 +437,17 @@ def test_request_validation():
         SaliencyRequest(method="smoothgrad", filters=(0,))
 
 
-@pytest.mark.parametrize("method", ["gradcampp", "smooth-gradcampp"])
-def test_raw_logit_rejected_for_gradcampp(method):
+@pytest.mark.parametrize("method, mode", [
+    pytest.param("gradcampp", "raw-logit", id="gradcampp"),
+    pytest.param("smooth-gradcampp", "raw-logit", id="smooth-gradcampp"),
+    ("gradcam", "probability"), ("gradcampp", "probability"),
+    ("smooth-gradcampp", "probability"),
+])
+def test_raw_logit_rejected_for_gradcampp(method, mode):
     # d2 = d3 = 0 for the raw logit, so every alpha and hence the map would be zero.
+    # No CAM method forms the probability score's derivatives.
     with pytest.raises(ParamError, match="exp-logit"):
-        SaliencyRequest(method=method, layer="conv1", score=ScoreMode("raw-logit"))
+        SaliencyRequest(method=method, layer="conv1", score=ScoreMode(mode))
     SaliencyRequest(method="gradcam", layer="conv1", score=ScoreMode("raw-logit"))
 
 
@@ -473,3 +480,68 @@ def test_randomizing_weights_layer_by_layer_changes_the_map(random_model, rng):
         model = Model(layers, random_model.input_shape, random_model.class_count)
         maps.append(run(model, x, request).display)
         assert not np.allclose(maps[-1], maps[-2], atol=1e-6), name
+
+
+def test_clean_methods_ignore_sample_count_and_sigma(random_model, rng):
+    # Only smoothgrad and smooth-gradcampp noise their input; every other method
+    # averages over the input itself, once.
+    x = rng.random(random_model.input_shape)
+    for method, layer in (("sensitivity", None), ("gradcampp", "conv1")):
+        clean = SaliencyRequest(method=method, layer=layer, n=1, sigma_rel=0.0, seed=4)
+        noisy = replace(clean, n=7, sigma_rel=0.3)
+        a, b = run(random_model, x, clean), run(random_model, x, noisy)
+        assert a.raw.tobytes() == b.raw.tobytes() and a.display.tobytes() == b.display.tobytes()
+    t1, a1 = smooth_triple(random_model, x, clean)
+    t7, a7 = smooth_triple(random_model, x, noisy)
+    for one, seven in ((t1.d1, t7.d1), (t1.d2, t7.d2), (t1.d3, t7.d3), (a1, a7)):
+        assert one.tobytes() == seven.tobytes()
+
+
+def _request(method, **kwargs):
+    layer = "conv1" if method in CAM_METHODS else None
+    return SaliencyRequest(method=method, layer=layer, n=4, sigma_rel=0.2, seed=6, **kwargs)
+
+
+def _with_layers(model, **changed):
+    layers = [replace(s, **changed[s.name]) if s.name in changed else s for s in model.layers]
+    return Model(layers, model.input_shape, model.class_count)
+
+
+def _assert_same_map(a, b):
+    assert a.meta["class"] == b.meta["class"]
+    assert np.max(np.abs(a.display - b.display)) <= 1e-9
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_input_shift_absorbed_by_conv1_bias_keeps_the_map(random_model, rng, method):
+    # Input invariance (Kindermans et al., arXiv 1711.00867): conv1 has no padding, so
+    # x + delta adds delta * sum(k) to each of its maps, and lowering its bias by that
+    # much gives a model that computes the same function of x as the original.
+    x = rng.random(random_model.input_shape)
+    delta = 0.37
+    conv = random_model.layer("conv1")
+    shifted = _with_layers(
+        random_model, conv1={"bias": conv.bias - delta * conv.kernels.sum(axis=(1, 2, 3))})
+    _assert_same_map(run(random_model, x, _request(method)),
+                     run(shifted, x + delta, _request(method)))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_conv1_filter_permutation_permutes_the_maps(random_model, rng, method):
+    # Reordering conv1's filters reorders its maps; moving dense1's column blocks the
+    # same way keeps every logit, the whole-layer map and each filter's own map.
+    x = rng.random(random_model.input_shape)
+    perm = [2, 0, 3, 1]
+    conv, dense = random_model.layer("conv1"), random_model.layer("dense1")
+    m = dense.weights.shape[0]
+    permuted = _with_layers(
+        random_model,
+        conv1={"kernels": conv.kernels[perm], "bias": conv.bias[perm]},
+        dense1={"weights": dense.weights.reshape(m, len(perm), -1)[:, perm].reshape(m, -1)},
+    )
+    pairs = [(None, None)]
+    if method in CAM_METHODS:
+        pairs += [((j,), (perm[j],)) for j in range(len(perm))]
+    for new, old in pairs:
+        _assert_same_map(run(permuted, x, _request(method, filters=new)),
+                         run(random_model, x, _request(method, filters=old)))
