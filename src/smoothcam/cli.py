@@ -77,9 +77,10 @@ def _build_parser() -> _Parser:
     ex.add_argument("--sigma", type=float, default=0.15,
                     help="noise std as a fraction of the input dynamic range")
     ex.add_argument("--filters", default=None, help="feature map indices, e.g. 0,2,5")
-    ex.add_argument("--neurons", default=None, help="neuron coordinates, e.g. 3:5,5:5")
-    ex.add_argument("--region-box", dest="region_box", default=None,
-                    help="inclusive neuron region top:left:bottom:right")
+    picks = ex.add_mutually_exclusive_group()
+    picks.add_argument("--neurons", default=None, help="neuron coordinates, e.g. 3:5,5:5")
+    picks.add_argument("--region-box", dest="region_box", default=None,
+                       help="inclusive neuron region top:left:bottom:right")
     ex.add_argument("--activation-source", dest="activation_source", default="original",
                     choices=saliency.ACTIVATION_SOURCES)
     ex.add_argument("--score", default="exp", choices=sorted(_SCORE_FLAGS))
@@ -123,7 +124,7 @@ def _cmd_explain(args) -> None:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    header = _meta_header(args, chosen)
+    header = _meta_header(request, blend, chosen)
     for suffix, smap in results:
         imageio.write_ppm(imageio.heat_image(smap.display), out_dir / f"heatmap{suffix}.ppm")
         imageio.write_ppm(imageio.overlay(image, smap.display, blend),
@@ -160,35 +161,22 @@ def _cmd_make_fixture(args) -> None:
 
 
 def _parse_request(args) -> tuple[SaliencyRequest, float]:
-    if args.class_spec == "auto":
-        class_index = None
-    else:
-        try:
-            class_index = int(args.class_spec)
-        except ValueError:
-            raise _UsageError(f"--class must be an integer or 'auto', got '{args.class_spec}'")
+    class_index = filters = neurons = None
+    if args.class_spec != "auto":
+        [(class_index,)] = _read_ints(args.class_spec, "--class", "an integer or 'auto'",
+                                      listed=False)
     if not 0.0 <= args.blend <= 1.0:
         raise _UsageError("--blend must be in [0, 1]")
-    if args.neurons is not None and args.region_box is not None:
-        raise _UsageError("--neurons and --region-box are mutually exclusive")
-
-    filters = None
     if args.filters is not None:
-        filters = tuple(_parse_int(tok, "--filters") for tok in _split(args.filters, "--filters"))
-    neurons = None
+        # Repeats name the same maps: each filter is computed once, in first-seen order.
+        read = _read_ints(args.filters, "--filters", "integers")
+        filters = tuple(dict.fromkeys(k for (k,) in read))
     if args.neurons is not None:
-        coords = []
-        for tok in _split(args.neurons, "--neurons"):
-            parts = tok.split(":")
-            if len(parts) != 2:
-                raise _UsageError(f"--neurons entries must be row:col, got '{tok}'")
-            coords.append((_parse_int(parts[0], "--neurons"), _parse_int(parts[1], "--neurons")))
+        coords = _read_ints(args.neurons, "--neurons", "row:col integers")
         neurons = NeuronSelection(coords=tuple(coords), region=False)
     elif args.region_box is not None:
-        parts = args.region_box.split(":")
-        if len(parts) != 4:
-            raise _UsageError("--region-box must be top:left:bottom:right")
-        box = tuple(_parse_int(p, "--region-box") for p in parts)
+        [box] = _read_ints(args.region_box, "--region-box", "top:left:bottom:right integers",
+                           listed=False)
         neurons = NeuronSelection(box=box, region=True)
 
     try:
@@ -208,34 +196,42 @@ def _parse_request(args) -> tuple[SaliencyRequest, float]:
     return request, args.blend
 
 
-def _meta_header(args, chosen_class: int) -> str:
+def _meta_header(request: SaliencyRequest, blend: float, chosen_class: int) -> str:
+    """The map CSV's `#` line, echoing parsed values: raw flag text could break the line."""
+    sel = request.neurons
+    coords = "-" if sel is None or sel.region else ",".join(f"{r}:{c}" for r, c in sel.coords)
+    box = ":".join(str(v) for v in sel.box) if sel is not None and sel.region else "-"
     fields = [
-        ("method", args.method),
-        ("class", args.class_spec),
+        ("method", request.method),
+        ("class", "auto" if request.score.class_index is None else request.score.class_index),
         ("chosen-class", chosen_class),
-        ("layer", args.layer or "-"),
-        ("samples", args.samples),
-        ("sigma", args.sigma),
-        ("filters", args.filters or "-"),
-        ("neurons", args.neurons or "-"),
-        ("region-box", args.region_box or "-"),
-        ("activation-source", args.activation_source),
-        ("score", args.score),
-        ("seed", args.seed),
-        ("blend", args.blend),
+        ("layer", request.layer or "-"),
+        ("samples", request.n),
+        ("sigma", request.sigma_rel),
+        ("filters", ",".join(str(k) for k in request.filters) if request.filters else "-"),
+        ("neurons", coords),
+        ("region-box", box),
+        ("activation-source", request.activation_source),
+        ("score", {mode: flag for flag, mode in _SCORE_FLAGS.items()}[request.score.mode]),
+        ("seed", request.seed),
+        ("blend", blend),
     ]
     return " ".join(f"{key}={value}" for key, value in fields)
 
 
-def _split(raw: str, flag: str) -> list[str]:
-    toks = [tok for tok in raw.split(",") if tok != ""]
-    if not toks:
+def _read_ints(raw: str, flag: str, form: str, listed: bool = True) -> list[tuple[int, ...]]:
+    """A flag's comma-separated entries (one entry unless listed), each the integers `form`
+    names in colon-separated fields: "3:5,5:5" as "row:col integers" is [(3, 5), (5, 5)]."""
+    entries = [tok for tok in raw.split(",") if tok != ""] if listed else [raw]
+    if not entries:
         raise _UsageError(f"{flag} must list at least one entry")
-    return toks
-
-
-def _parse_int(tok: str, flag: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise _UsageError(f"{flag} expects integers, got '{tok}'")
+    read = []
+    for tok in entries:
+        try:
+            values = tuple(int(field) for field in tok.split(":"))
+        except ValueError:
+            values = ()
+        if len(values) != form.count(":") + 1:
+            raise _UsageError(f"{flag} expects {form}, got {tok!r}")
+        read.append(values)
+    return read

@@ -86,9 +86,7 @@ def higher_order_triple(g: Tensor, logit: float, mode: str | ScoreMode = "exp-lo
     higher orders vanish. Probability scores have no such closed form here and
     are declined.
     """
-    mode_name = mode.mode if isinstance(mode, ScoreMode) else mode
-    if mode_name not in SCORE_MODES:
-        raise ParamError(f"unknown score mode '{mode_name}'")
+    mode_name = mode.mode if isinstance(mode, ScoreMode) else ScoreMode(mode).mode
     if mode_name == "probability":
         raise UnsupportedError("higher-order stacks are not supported for probability scores")
     g = as_tensor(g)
@@ -112,8 +110,6 @@ def finite_diff_layer_grad(
     so the difference probes the same locally linear branch the reverse sweep
     differentiates instead of stepping across a kink.
     """
-    if h <= 0:
-        raise ParamError(f"step h must be > 0, got {h}")
     idx = model.conv_index(layer)
     base = trace.per_layer[layer]
     return _central_diff(model, trace, score, idx, base, h)
@@ -126,12 +122,12 @@ def finite_diff_input_grad(
     h: float = 1e-4,
 ) -> Tensor:
     """Frozen-gate central-difference estimate of the input sensitivity map."""
-    if h <= 0:
-        raise ParamError(f"step h must be > 0, got {h}")
     return _central_diff(model, trace, score, -1, trace.input, h)
 
 
 def _central_diff(model, trace, score, start_index, base, h):
+    if not h > 0:
+        raise ParamError(f"step h must be > 0, got {h}")
     c = score.resolve_class(trace, model.class_count)
     work = base.copy()
     flat = work.reshape(-1)

@@ -84,10 +84,8 @@ def load_model(manifest_path, weights_path) -> Model:
         name = entry.get("name")
         if not isinstance(name, str) or not name:
             raise FormatError(f"layer entry missing a name: {entry!r}")
-        try:
-            name.encode("utf-8")
-        except UnicodeEncodeError:
-            raise FormatError(f"layer {i}: name {name!r} cannot be encoded as UTF-8") from None
+        if not name.isprintable():  # a line break or a lone surrogate would garble the output
+            raise FormatError(f"layer {i}: name {name!r} holds an unprintable character")
         if not isinstance(kind, str) or kind not in KINDS:
             raise FormatError(f"layer '{name}': unknown kind '{kind}'")
         rules = KINDS[kind]

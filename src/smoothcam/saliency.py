@@ -106,9 +106,10 @@ class SaliencyRequest:
                 raise ParamError(f"{self.method} needs exp-logit: raw-logit zeroes every alpha")
             if self.score.mode == "probability":
                 raise ParamError(f"{self.method} has no probability score: use exp-logit")
-        elif self.filters is not None or self.neurons is not None:
+        elif self.layer is not None or self.filters is not None or self.neurons is not None:
             raise ParamError(
-                f"filters and neuron selections only apply to CAM methods, not '{self.method}'"
+                f"a layer, filters and neuron selections only apply to CAM methods, "
+                f"not '{self.method}'"
             )
         if self.filters is not None:
             self.filters = tuple(int(k) for k in self.filters)
@@ -166,13 +167,7 @@ def compute_alpha(avg: GradientTriple, activations: Tensor) -> Tensor:
     of feature map k's activations. Locations whose denominator magnitude is
     below the guard get alpha = 0 instead of a blow-up on dead maps.
     """
-    A = as_tensor(activations)
-    d1, d2, d3 = as_tensor(avg.d1), as_tensor(avg.d2), as_tensor(avg.d3)
-    if not (d1.shape == d2.shape == d3.shape == A.shape) or A.ndim != 3:
-        raise ShapeError(
-            f"triple and activations must share one [K,h,w] shape, "
-            f"got {d1.shape}/{d2.shape}/{d3.shape} and {A.shape}"
-        )
+    A, d1, d2, d3 = _stacks(activations, avg.d1, avg.d2, avg.d3)
     per_map_total = A.sum(axis=(1, 2))
     den = 2.0 * d2 + per_map_total[:, None, None] * d3
     alpha = np.zeros_like(d1)
@@ -182,26 +177,21 @@ def compute_alpha(avg: GradientTriple, activations: Tensor) -> Tensor:
 
 def gradcampp_weights(alpha: Tensor, avg_d1: Tensor) -> Tensor:
     """One weight per feature map: spatial sum of alpha * ReLU(averaged d1)."""
-    a = as_tensor(alpha)
-    d1 = as_tensor(avg_d1)
-    if a.shape != d1.shape or a.ndim != 3:
-        raise ShapeError(f"alpha shape {a.shape} must match d1 shape {d1.shape} as [K,h,w]")
+    a, d1 = _stacks(alpha, avg_d1)
     return (a * np.maximum(d1, 0.0)).sum(axis=(1, 2))
 
 
 def gradcam_weights(g: Tensor) -> Tensor:
     """Baseline weights: the spatial mean of the gradient per feature map."""
-    grad = as_tensor(g)
-    if grad.ndim != 3:
-        raise ShapeError(f"expected a [K,h,w] gradient stack, got shape {grad.shape}")
+    (grad,) = _stacks(g)
     return grad.mean(axis=(1, 2))
 
 
 def cam_map(weights: Tensor, activations: Tensor, filters=None) -> Tensor:
     """ReLU'd weighted combination of feature maps, optionally over a filter subset."""
     w = as_tensor(weights)
-    A = as_tensor(activations)
-    if w.ndim != 1 or A.ndim != 3 or w.shape[0] != A.shape[0]:
+    (A,) = _stacks(activations)
+    if w.shape != A.shape[:1]:
         raise ShapeError(f"weights {w.shape} do not match activation stack {A.shape}")
     idx = _normalize_filters(filters, A.shape[0])
     combined = np.tensordot(w[idx], A[idx], axes=(0, 0))
@@ -212,16 +202,9 @@ def apply_selection(
     activations: Tensor, triple: GradientTriple, selection: NeuronSelection
 ) -> tuple[Tensor, GradientTriple]:
     """Zero activations and all derivative stacks outside the selected positions."""
-    A = as_tensor(activations)
-    if A.ndim != 3:
-        raise ShapeError(f"expected a [K,h,w] activation stack, got shape {A.shape}")
+    A, d1, d2, d3 = _stacks(activations, triple.d1, triple.d2, triple.d3)
     keep = selection.mask(A.shape[1], A.shape[2])
-    masked = GradientTriple(
-        as_tensor(triple.d1) * keep,
-        as_tensor(triple.d2) * keep,
-        as_tensor(triple.d3) * keep,
-    )
-    return A * keep, masked
+    return A * keep, GradientTriple(d1 * keep, d2 * keep, d3 * keep)
 
 
 def smoothgrad_map(model: Model, input: Tensor, request: SaliencyRequest) -> SaliencyMap:
@@ -299,6 +282,15 @@ def _samples(x: Tensor, request: SaliencyRequest):
     for s in range(request.n):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=request.seed, spawn_key=(s,)))
         yield add_gaussian_noise(x, sigma_abs, rng)
+
+
+def _stacks(*arrays) -> list[np.ndarray]:
+    """The arrays as float64 [K,h,w] stacks of one shape, else ShapeError."""
+    stacks = [as_tensor(a) for a in arrays]
+    if stacks[0].ndim != 3 or any(s.shape != stacks[0].shape for s in stacks):
+        shapes = ", ".join(str(s.shape) for s in stacks)
+        raise ShapeError(f"expected [K,h,w] stacks of one shape, got {shapes}")
+    return stacks
 
 
 def _normalize_filters(filters, k: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import smoothcam
 from smoothcam import (Model, RgbImage, build_fixture, detector_scene, read_ppm, save_model,
-                       write_ppm)
+                       saliency, write_ppm)
 from smoothcam.cli import run_cli
 
 
@@ -114,6 +114,59 @@ def test_usage_error_neurons_and_region_box(tmp_path, model_files, scene_ppm):
     args = _explain_args(model_files, scene_ppm, str(tmp_path / "out"),
                          extra=["--neurons", "1:1", "--region-box", "0:0:3:3"])
     assert run_cli(args) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--class", "x"], ["--class", "x\n"], ["--blend", "2"], ["--neurons", "1:2:3"],
+    ["--region-box", "1:2"], ["--filters", ","], ["--filters", "a"], ["--filters", "a\n"],
+    ["--method", "sensitivity"], ["--method", "smoothgrad"],
+    ["--neurons", "1:1", "--region-box", "0:0:3:3"],
+    ["make-fixture", "--kind", "random", "--seed", "-1"],
+], ids=" ".join)
+def test_usage_errors_print_one_line(tmp_path, model_files, scene_ppm, capsys, argv):
+    # Explain flags come after the defaults, which hold "--layer conv1", and override them.
+    out = tmp_path / "out"
+    if argv[0] == "make-fixture":
+        argv = [*argv, "--model", str(out / "m.json"), "--weights", str(out / "m.bin")]
+    else:
+        argv = _explain_args(model_files, scene_ppm, str(out), extra=argv)
+    assert run_cli(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--class", "3"), ("--filters", "0"),
+                                         ("--neurons", "3:5"), ("--region-box", "0:0:6:6")])
+def test_line_break_in_a_flag_stays_out_of_the_files(tmp_path, model_files, scene_ppm, flag,
+                                                     value):
+    # int() reads "0\n" as 0, so the value is valid; the header echoes the parsed 0.
+    name = "map_f0.csv" if flag == "--filters" else "map.csv"
+    files = []
+    for raw in (value, value + "\n"):
+        out = tmp_path / f"out{len(files)}"
+        assert run_cli(_explain_args(model_files, scene_ppm, str(out), extra=[flag, raw])) == 0
+        files.append(out / name)
+    assert files[1].read_bytes() == files[0].read_bytes()
+    assert np.loadtxt(files[1], delimiter=",", comments="#").shape == (16, 16)
+
+
+def test_repeated_filters_are_computed_once(tmp_path, model_files, scene_ppm, monkeypatch):
+    real, seen = saliency.run, []
+
+    def counting_run(model, x, request):
+        seen.append(request.filters)
+        return real(model, x, request)
+
+    monkeypatch.setattr(saliency, "run", counting_run)
+    twice, once = tmp_path / "twice", tmp_path / "once"
+    for out, filters in ((twice, "2,0,2,2,0"), (once, "2,0")):
+        extra = ["--filters", filters]
+        assert run_cli(_explain_args(model_files, scene_ppm, str(out), extra=extra)) == 0
+    assert seen == [(2,), (0,)] * 2
+    assert sorted(p.name for p in twice.iterdir()) == sorted(p.name for p in once.iterdir())
+    for path in once.iterdir():
+        assert (twice / path.name).read_bytes() == path.read_bytes()
 
 
 def test_filters_write_per_filter_maps(tmp_path, model_files, scene_ppm):
@@ -374,6 +427,16 @@ def test_list_layers_rejects_a_layer_name_not_encodable_as_utf8(tmp_path):
     assert done.returncode == 2 and done.stdout == ""
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: layer 0: ")
+
+
+def test_list_layers_rejects_a_layer_name_with_a_line_break(tmp_path, capsys):
+    manifest, weights = _write_conv_dense(tmp_path, (np.ones((1, 1, 3, 3)), np.zeros(1)),
+                                          (np.ones((2, 4)), np.zeros(2)), [1, 4, 4],
+                                          conv_name="conv\n1")
+    assert run_cli(["list-layers", "--model", manifest, "--weights", weights]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error: layer 0: ")
 
 
 # (field path in the manifest, raw JSON text put there): each is not a JSON integer.

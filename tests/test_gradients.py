@@ -249,6 +249,21 @@ def test_finite_diff_rejects_bad_step(random_model, rng):
         finite_diff_layer_grad(random_model, trace, ScoreMode("raw-logit", 0), "conv1", h=0.0)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda m, t: higher_order_triple(np.ones((2, 3, 3)), 0.0, "squared-logit"),
+                 id="triple-unknown-mode"),
+    pytest.param(lambda m, t: finite_diff_input_grad(m, t, ScoreMode("raw-logit", 0), h=0.0),
+                 id="input-step-zero"),
+    pytest.param(lambda m, t: finite_diff_input_grad(m, t, ScoreMode("raw-logit", 0), h=-1e-4),
+                 id="input-step-negative"),
+    pytest.param(lambda m, t: finite_diff_layer_grad(m, t, ScoreMode("raw-logit", 0), "conv1",
+                                                     h=float("nan")), id="layer-step-nan"),
+])
+def test_input_errors(random_model, rng, call):
+    with pytest.raises(ParamError):
+        call(random_model, forward(random_model, rng.random(random_model.input_shape)))
+
+
 # ---------------------------------------------------------------------------
 # contracts
 # ---------------------------------------------------------------------------

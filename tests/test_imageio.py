@@ -75,6 +75,17 @@ def test_read_ppm_rejects_overlong_header_integer(tmp_path):
         read_ppm(path)
 
 
+@pytest.mark.parametrize("payload, message", [
+    (b"P6 2 1 255", "expected single whitespace after maxval at byte offset 10"),
+    (b"P6 2 1 255#" + bytes(6), "expected single whitespace after maxval at byte offset 10"),
+    (b"P6 0 1 255\n", "bad image size 0x1"),
+    (b"P6 2 0 255\n", "bad image size 2x0"),
+])
+def test_read_ppm_rejects_bad_header_end(tmp_path, payload, message):
+    with pytest.raises(FormatError, match=message):
+        read_ppm(_write(tmp_path / "bad.ppm", payload))
+
+
 def test_ppm_roundtrip_is_byte_identical(tmp_path, rng):
     pixels = bytes(rng.integers(0, 256, size=3 * 4 * 3, dtype=np.uint8))
     img = RgbImage(width=4, height=3, pixels=pixels)

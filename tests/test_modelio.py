@@ -105,6 +105,41 @@ def test_layer_name_not_encodable_as_utf8_rejected(saved_fixture):
         load_model(manifest, weights)
 
 
+def _break_manifest(doc, case):
+    conv, relu = doc["layers"][0], doc["layers"][1]
+    if case == "relu-with-weight":
+        relu["weight_offset"], relu["weight_shape"] = 0, [1]
+    elif case == "conv-without-bias":
+        del conv["bias_offset"], conv["bias_shape"]
+    elif case == "negative-dimension":
+        conv["weight_shape"] = [-4, 1, 3, 3]
+    elif case == "root-list":
+        return [doc]
+    else:
+        conv["name"] = "conv\n1"
+    return doc
+
+
+# What each broken manifest's FormatError message starts with.
+_BROKEN = {
+    "relu-with-weight": "layer 'relu1': kind 'relu' carries no weights",
+    "conv-without-bias": "layer 'conv1': conv requires weight and bias spans",
+    "negative-dimension": "layer 'conv1': weight_shape must not be negative",
+    "root-list": "manifest root must be a JSON object",
+    "name-line-break": "layer 0: name 'conv\\n1' holds an unprintable character",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN))
+def test_malformed_manifest_rejected(saved_fixture, case):
+    manifest, weights = saved_fixture
+    doc = _break_manifest(json.loads(manifest.read_text()), case)
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(FormatError) as err:
+        load_model(manifest, weights)
+    assert str(err.value).startswith(_BROKEN[case])
+
+
 def test_overlapping_offsets_rejected(saved_fixture):
     manifest, weights = saved_fixture
     doc = json.loads(manifest.read_text())

@@ -11,6 +11,7 @@ from smoothcam import (
     ParamError,
     SaliencyRequest,
     ScoreMode,
+    ShapeError,
     UnknownLayerError,
     apply_selection,
     bilinear_resize,
@@ -28,6 +29,7 @@ from smoothcam import (
     smooth_triple,
     smoothgrad_map,
 )
+from smoothcam import saliency
 from smoothcam.saliency import CAM_METHODS, METHODS
 
 
@@ -435,6 +437,45 @@ def test_request_validation():
         SaliencyRequest(method="gradcampp")
     with pytest.raises(ParamError, match="only apply to CAM methods"):
         SaliencyRequest(method="smoothgrad", filters=(0,))
+    for method in ("sensitivity", "smoothgrad"):
+        with pytest.raises(ParamError, match="a layer, filters and neuron selections"):
+            SaliencyRequest(method=method, layer="conv1")
+
+
+def test_smooth_triple_refuses_a_non_cam_request_before_any_pass(random_model, rng, monkeypatch):
+    passes = []
+    monkeypatch.setattr(saliency, "forward", lambda *args: passes.append(args))
+    request = SaliencyRequest(method="smoothgrad", score=ScoreMode("probability"))
+    with pytest.raises(UnknownLayerError):
+        smooth_triple(random_model, rng.random(random_model.input_shape), request)
+    assert passes == []
+
+
+_STACK = np.ones((4, 7, 7))
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda m, x: compute_alpha(_constant_triple((4, 7, 7), 1, 1, 1), _STACK[:, :6]),
+                 ShapeError, id="alpha-activations"),
+    pytest.param(lambda m, x: compute_alpha(GradientTriple(_STACK, _STACK, _STACK[0]), _STACK),
+                 ShapeError, id="alpha-2d-d3"),
+    pytest.param(lambda m, x: gradcampp_weights(_STACK, _STACK[:3]), ShapeError,
+                 id="gradcampp-weights"),
+    pytest.param(lambda m, x: gradcam_weights(_STACK[0]), ShapeError, id="gradcam-weights"),
+    pytest.param(lambda m, x: cam_map(np.ones(3), _STACK), ShapeError, id="cam-map-weights"),
+    pytest.param(lambda m, x: cam_map(np.ones(4), _STACK[0]), ShapeError, id="cam-map-2d"),
+    # Both triples used to pass: the first met numpy's ValueError, the second broadcast.
+    pytest.param(lambda m, x: apply_selection(np.ones((4, 14, 14)), _constant_triple(
+        (4, 7, 7), 1, 1, 1), NeuronSelection(coords=((0, 0),))), ShapeError, id="select-small"),
+    pytest.param(lambda m, x: apply_selection(np.ones((4, 14, 14)), _constant_triple(
+        (1, 14, 14), 1, 1, 1), NeuronSelection(coords=((0, 0),))), ShapeError, id="select-one"),
+    pytest.param(lambda m, x: smoothgrad_map(m, x, SaliencyRequest(method="gradcam",
+                                                                   layer="conv1")),
+                 ParamError, id="smoothgrad-map-cam-request"),
+])
+def test_stage_input_errors(random_model, rng, call, error):
+    with pytest.raises(error):
+        call(random_model, rng.random(random_model.input_shape))
 
 
 @pytest.mark.parametrize("method, mode", [
@@ -545,3 +586,26 @@ def test_conv1_filter_permutation_permutes_the_maps(random_model, rng, method):
     for new, old in pairs:
         _assert_same_map(run(permuted, x, _request(method, filters=new)),
                          run(random_model, x, _request(method, filters=old)))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_dead_conv1_filter_keeps_the_maps(random_model, rng, method):
+    # A conv1 filter with a zero kernel and bias, read by zero dense1 columns, changes no
+    # logit and gets no gradient, so the whole-layer map and each original filter's map stay.
+    x = rng.random(random_model.input_shape)
+    conv, dense = random_model.layer("conv1"), random_model.layer("dense1")
+    k, (m, features) = conv.kernels.shape[0], dense.weights.shape
+    blocks = dense.weights.reshape(m, k, features // k)
+    dead = _with_layers(
+        random_model,
+        conv1={"kernels": np.concatenate([conv.kernels, np.zeros_like(conv.kernels[:1])]),
+               "bias": np.append(conv.bias, 0.0)},
+        dense1={"weights": np.concatenate([blocks, np.zeros_like(blocks[:, :1])], axis=1)
+                .reshape(m, -1)},
+    )
+    filters = [None]
+    if method in CAM_METHODS:
+        filters += [(j,) for j in range(k)]
+    for chosen in filters:
+        _assert_same_map(run(dead, x, _request(method, filters=chosen)),
+                         run(random_model, x, _request(method, filters=chosen)))
