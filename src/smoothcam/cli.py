@@ -52,12 +52,13 @@ def run_cli(argv) -> int:
         else:
             _cmd_make_fixture(args)
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        message, code = f"usage error: {exc}", EXIT_USAGE
     except (SmoothCamError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    return EXIT_OK
+        message, code = f"error: {exc}", EXIT_DATA
+    else:
+        return EXIT_OK
+    print(message.replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)  # one line
+    return code
 
 
 @functools.cache  # parse_args only reads the parser and returns a fresh Namespace
@@ -106,6 +107,7 @@ def _build_parser() -> _Parser:
 def _cmd_explain(args) -> None:
     request, blend = _parse_request(args)
     model = modelio.load_model(args.model, args.weights)
+    saliency.check_target(model, request)  # before any per-filter job makes a pass
     image = imageio.read_ppm(args.image)
     x = imageio.to_input_tensor(image, model.input_shape)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ParamError, UnsupportedError
 from .network import KINDS, ActivationTrace, Model, forward, logits_layer_index
-from .tensor import Tensor, as_tensor, softmax
+from .tensor import Tensor, as_tensor, scratch, softmax
 
 SCORE_MODES = ("raw-logit", "exp-logit", "probability")
 
@@ -60,7 +60,8 @@ class GradientTriple:
     d3: np.ndarray
 
 
-def grad_wrt_layer(model: Model, trace: ActivationTrace, score: ScoreMode, layer: str) -> Tensor:
+def grad_wrt_layer(model: Model, trace: ActivationTrace, score: ScoreMode, layer: str, *,
+                   work: dict | None = None) -> Tensor:
     """Gradient of the class score with respect to a conv layer's [K,h,w] output.
 
     ReLU gates and pool argmax choices are read from the trace, so the sweep
@@ -68,16 +69,18 @@ def grad_wrt_layer(model: Model, trace: ActivationTrace, score: ScoreMode, layer
     The ReLU derivative at exactly 0 is taken as 0.
     """
     idx = model.conv_index(layer)
-    return _sweep(model, trace, score, stop_index=idx)
+    return _sweep(model, trace, score, idx, work)
 
 
-def grad_wrt_input(model: Model, input: Tensor, score: ScoreMode) -> Tensor:
+def grad_wrt_input(model: Model, input: Tensor, score: ScoreMode, *,
+                   work: dict | None = None) -> Tensor:
     """Gradient of the class score with respect to the input (a sensitivity map)."""
-    trace = forward(model, input)
-    return _sweep(model, trace, score, stop_index=-1)
+    trace = forward(model, input, work=work)
+    return _sweep(model, trace, score, -1, work)
 
 
-def higher_order_triple(g: Tensor, logit: float, mode: str | ScoreMode = "exp-logit") -> GradientTriple:
+def higher_order_triple(g: Tensor, logit: float, mode: str | ScoreMode = "exp-logit", *,
+                        work: dict | None = None) -> GradientTriple:
     """Derivative stacks for the chosen score, given the raw-logit gradient g.
 
     The logit s is piecewise linear in the activations, so for the exponential
@@ -92,9 +95,9 @@ def higher_order_triple(g: Tensor, logit: float, mode: str | ScoreMode = "exp-lo
     g = as_tensor(g)
     if mode_name == "raw-logit":
         return GradientTriple(g.copy(), np.zeros_like(g), np.zeros_like(g))
-    d1 = np.exp(float(logit)) * g
-    d2 = d1 * g
-    return GradientTriple(d1, d2, d2 * g)
+    d1 = np.multiply(np.exp(float(logit)), g, out=scratch(work, "d1", g.shape))
+    d2 = np.multiply(d1, g, out=scratch(work, "d2", g.shape))
+    return GradientTriple(d1, d2, np.multiply(d2, g, out=scratch(work, "d3", g.shape)))
 
 
 def finite_diff_layer_grad(
@@ -129,19 +132,18 @@ def _central_diff(model, trace, score, start_index, base, h):
     if not h > 0:
         raise ParamError(f"step h must be > 0, got {h}")
     c = score.resolve_class(trace, model.class_count)
-    work = base.copy()
-    flat = work.reshape(-1)
-    out = np.zeros_like(work)
-    out_flat = out.reshape(-1)
+    probe = base.copy()
+    flat = probe.reshape(-1)
+    out = np.zeros(flat.size)
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h
-        f_plus = score.value(_frozen_tail_logits(model, trace, start_index, work), c)
+        f_plus = score.value(_frozen_tail_logits(model, trace, start_index, probe), c)
         flat[i] = orig - h
-        f_minus = score.value(_frozen_tail_logits(model, trace, start_index, work), c)
+        f_minus = score.value(_frozen_tail_logits(model, trace, start_index, probe), c)
         flat[i] = orig
-        out_flat[i] = (f_plus - f_minus) / (2.0 * h)
-    return out
+        out[i] = (f_plus - f_minus) / (2.0 * h)
+    return out.reshape(probe.shape)
 
 
 def _frozen_tail_logits(model, trace, start_index, value):
@@ -165,12 +167,14 @@ def _seed_at_logits(model: Model, trace: ActivationTrace, score: ScoreMode) -> n
     return seed
 
 
-def _sweep(model: Model, trace: ActivationTrace, score: ScoreMode, stop_index: int) -> np.ndarray:
+def _sweep(model: Model, trace: ActivationTrace, score: ScoreMode, stop_index: int,
+           work: dict | None) -> np.ndarray:
     g = _seed_at_logits(model, trace, score)
     for i in range(logits_layer_index(model), stop_index, -1):
         spec = model.layers[i]
         x = trace.per_layer[model.layers[i - 1].name] if i else trace.input
+        part = None if work is None else work.setdefault(i, {})  # forward's share for layer i
         g = KINDS[spec.kind].backward(
-            spec, g, x, trace.per_layer[spec.name], trace.gates.get(spec.name)
+            spec, g, x, trace.per_layer[spec.name], trace.gates.get(spec.name), part
         )
     return g

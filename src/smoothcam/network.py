@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NonConvLayerError, ShapeError, SmoothCamError, UnknownLayerError
 from .tensor import (Tensor, as_tensor, conv2d, conv2d_shape, dense, dense_shape, maxpool2d,
-                     maxpool2d_shape, relu, softmax, softmax_shape)
+                     maxpool2d_shape, relu, scratch, softmax, softmax_shape)
 
 
 @dataclass
@@ -114,20 +114,22 @@ class ActivationTrace:
     logits: np.ndarray
     probabilities: np.ndarray
     # The branch each gated layer took: a ReLU's output (open where positive)
-    # or a pool's argmax (rows, cols).
+    # or a pool's PoolArgmax (unpacks to rows, cols).
     gates: dict[str, object] = field(default_factory=dict)
 
 
-def forward(model: Model, input: Tensor) -> ActivationTrace:
-    """Run the pipeline, recording every layer's output and the gates it chose."""
+def forward(model: Model, input: Tensor, *, work: dict | None = None) -> ActivationTrace:
+    """Run the pipeline, recording every layer's output and the gates it chose. They are
+    fresh arrays, or with a workspace `work` live in it until its next forward or sweep."""
     x = as_tensor(input)
     if x.shape != model.input_shape:
         raise ShapeError(f"input shape {x.shape} does not match model input {model.input_shape}")
     per_layer: dict[str, np.ndarray] = {}
     gates: dict[str, object] = {}
     out = x
-    for spec in model.layers:
-        out, gate = KINDS[spec.kind].forward(spec, out)
+    for i, spec in enumerate(model.layers):
+        part = None if work is None else work.setdefault(i, {})  # layer i's share
+        out, gate = KINDS[spec.kind].forward(spec, out, work=part)
         per_layer[spec.name] = out
         if gate is not None:
             gates[spec.name] = gate
@@ -185,49 +187,48 @@ class LayerKind:
     """The rules of one layer kind, read by every pass and by the model files."""
 
     shape: Callable     # (spec, in_shape) -> out_shape; the primitive's own rule
-    forward: Callable   # (spec, x, gate=None) -> (out, gate); replays a given gate frozen
-    backward: Callable  # (spec, grad, recorded_input, recorded_output, gate) -> input grad
+    forward: Callable   # (spec, x, gate=None, work=None) -> (out, gate); replays a gate frozen
+    backward: Callable  # (spec, grad, recorded_input, recorded_output, gate, work=None) -> grad
     params: dict[str, str] = field(default_factory=dict)  # manifest key -> LayerSpec attribute
     weight: str | None = None  # attribute holding the weight array; None: no weight/bias spans
 
 
-def _conv_input_grad(grad, spec, input_shape):
+def _conv_backward(spec, grad, x, out, gate, work=None):
     # One GEMM gives the gradient of every im2col row; col2im adds them back.
     k = spec.kernels
     kout, _, kh, kw = k.shape
-    c, h, w = input_shape
+    c, h, w = x.shape
     s, p = spec.stride, spec.padding
     hh, ww = grad.shape[1], grad.shape[2]
-    cols = (k.reshape(kout, -1).T @ grad.reshape(kout, -1)).reshape(c, kh, kw, hh, ww)
-    dx = np.zeros((c, h + 2 * p, w + 2 * p))
+    cols = np.matmul(k.reshape(kout, -1).T, grad.reshape(kout, -1),
+                     out=scratch(work, "cols", (c * kh * kw, hh * ww))).reshape(c, kh, kw, hh, ww)
+    dx = scratch(work, "dx", (c, h + 2 * p, w + 2 * p))
+    dx.fill(0.0)
     for u in range(kh):
         for v in range(kw):
             dx[:, u : u + s * hh : s, v : v + s * ww : s] += cols[:, u, v]
     return dx[:, p : p + h, p : p + w] if p else dx
 
 
-def _relu_forward(spec, x, gate=None):
+def _relu_forward(spec, x, gate=None, work=None):
     # The output doubles as the gate, so recording it costs no extra array.
     if gate is None:
-        out = relu(x)
+        out = relu(x, work=work)
         return out, out
     return x * (gate > 0), gate
 
 
-def _maxpool_forward(spec, x, gate=None):
+def _maxpool_forward(spec, x, gate=None, work=None):
     if gate is None:
-        return maxpool2d(x, spec.pool_size, spec.stride)
-    rows, cols = gate
-    return x[np.arange(x.shape[0])[:, None, None], rows, cols], gate
+        return maxpool2d(x, spec.pool_size, spec.stride, work=work)
+    return np.take(x, gate.flat), gate
 
 
-def _maxpool_backward(spec, grad, x, out, gate):
-    at = (np.arange(grad.shape[0])[:, None, None], *gate)
-    dx = np.zeros_like(x)
-    if spec.stride >= spec.pool_size:  # disjoint windows: no source is hit twice
-        dx[at] = grad
-    else:
-        np.add.at(dx, at, grad)
+def _maxpool_backward(spec, grad, x, out, gate, work=None):
+    dx = scratch(work, "dx", x.shape)
+    dx.fill(0.0)
+    # Disjoint windows hit no source twice, so assigning is enough.
+    (np.put if spec.stride >= spec.pool_size else np.add.at)(dx.reshape(-1), gate.flat, grad)
     return dx
 
 
@@ -238,16 +239,18 @@ KINDS: dict[str, LayerKind] = {
     "conv": LayerKind(
         shape=lambda spec, in_shape: conv2d_shape(
             in_shape, np.shape(spec.kernels), np.shape(spec.bias), spec.stride, spec.padding),
-        forward=lambda spec, x, gate=None: (
-            conv2d(x, spec.kernels, spec.bias, spec.stride, spec.padding), None),
-        backward=lambda spec, grad, x, out, gate: _conv_input_grad(grad, spec, x.shape),
+        forward=lambda spec, x, gate=None, work=None: (
+            conv2d(x, spec.kernels, spec.bias, spec.stride, spec.padding, work=work), None),
+        backward=_conv_backward,
         params={"stride": "stride", "padding": "padding"},
         weight="kernels",
     ),
     "relu": LayerKind(
         shape=lambda spec, in_shape: in_shape,
         forward=_relu_forward,
-        backward=lambda spec, grad, x, out, gate: grad * (x > 0),
+        backward=lambda spec, grad, x, out, gate, work=None: np.multiply(
+            grad, np.greater(x, 0.0, out=scratch(work, "open", x.shape, bool)),
+            out=scratch(work, "dx", x.shape)),
     ),
     "maxpool": LayerKind(
         shape=lambda spec, in_shape: maxpool2d_shape(in_shape, spec.pool_size, spec.stride),
@@ -257,20 +260,21 @@ KINDS: dict[str, LayerKind] = {
     ),
     "flatten": LayerKind(
         shape=lambda spec, in_shape: (math.prod(in_shape),),
-        forward=lambda spec, x, gate=None: (x.reshape(-1), None),
-        backward=lambda spec, grad, x, out, gate: grad.reshape(x.shape),
+        forward=lambda spec, x, gate=None, work=None: (x.reshape(-1), None),
+        backward=lambda spec, grad, x, out, gate, work=None: grad.reshape(x.shape),
     ),
     "dense": LayerKind(
         shape=lambda spec, in_shape: dense_shape(
             in_shape, np.shape(spec.weights), np.shape(spec.bias)),
-        forward=lambda spec, x, gate=None: (dense(x, spec.weights, spec.bias), None),
-        backward=lambda spec, grad, x, out, gate: spec.weights.T @ grad,
+        forward=lambda spec, x, gate=None, work=None: (dense(x, spec.weights, spec.bias), None),
+        backward=lambda spec, grad, x, out, gate, work=None: np.matmul(
+            spec.weights.T, grad, out=scratch(work, "dx", x.shape)),
         weight="weights",
     ),
     "softmax": LayerKind(
         shape=lambda spec, in_shape: softmax_shape(in_shape),
-        forward=lambda spec, x, gate=None: (softmax(x), None),
+        forward=lambda spec, x, gate=None, work=None: (softmax(x), None),
         # ds_j/dz_i = s_j (delta_ij - s_i)
-        backward=lambda spec, grad, x, out, gate: out * (grad - np.dot(grad, out)),
+        backward=lambda spec, grad, x, out, gate, work=None: out * (grad - np.dot(grad, out)),
     ),
 }

@@ -143,21 +143,18 @@ def smooth_triple(
     sums = [np.zeros(layer_shape) for _ in range(3)]
     act_sum = np.zeros(layer_shape)
     raw_score = ScoreMode("raw-logit", c)
-    for n, sample in enumerate(_samples(x, request), 1):
-        tr = forward(model, sample)
-        g = grad_wrt_layer(model, tr, raw_score, request.layer)
-        triple = higher_order_triple(g, float(tr.logits[c]), request.score.mode)
-        sums[0] += triple.d1
-        sums[1] += triple.d2
-        sums[2] += triple.d3
+    for n, (sample, work) in enumerate(_samples(x, request), 1):
+        tr = forward(model, sample, work=work)
+        g = grad_wrt_layer(model, tr, raw_score, request.layer, work=work)
+        triple = higher_order_triple(g, float(tr.logits[c]), request.score.mode, work=work)
+        for total, d in zip(sums, (triple.d1, triple.d2, triple.d3)):
+            total += d
         if request.activation_source == "averaged":
             act_sum += tr.per_layer[request.layer]
     averaged = GradientTriple(sums[0] / float(n), sums[1] / float(n), sums[2] / float(n))
     if request.activation_source == "averaged":
-        activations = act_sum / float(n)
-    else:
-        activations = base.per_layer[request.layer]
-    return averaged, activations
+        return averaged, act_sum / float(n)
+    return averaged, base.per_layer[request.layer]
 
 
 def compute_alpha(avg: GradientTriple, activations: Tensor) -> Tensor:
@@ -221,8 +218,8 @@ def smoothgrad_map(model: Model, input: Tensor, request: SaliencyRequest) -> Sal
     c = request.score.resolve_class(base, model.class_count)
     score = ScoreMode(request.score.mode, c)
     acc = np.zeros_like(x)
-    for n, sample in enumerate(_samples(x, request), 1):
-        acc += grad_wrt_input(model, sample, score)
+    for n, (sample, work) in enumerate(_samples(x, request), 1):
+        acc += grad_wrt_input(model, sample, score, work=work)
     avg = acc / float(n)
     raw = np.abs(avg).max(axis=0)
     display = postprocess(raw, x.shape[1], x.shape[2])
@@ -246,6 +243,7 @@ def run(model: Model, input: Tensor, request: SaliencyRequest) -> SaliencyMap:
     """Dispatch a request to its method pipeline and return the finished map."""
     if request.method in ("sensitivity", "smoothgrad"):
         return smoothgrad_map(model, input, request)
+    check_target(model, request)
     x = as_tensor(input)
     base = forward(model, x)
     c = request.score.resolve_class(base, model.class_count)
@@ -269,19 +267,28 @@ def run(model: Model, input: Tensor, request: SaliencyRequest) -> SaliencyMap:
 
 
 def _samples(x: Tensor, request: SaliencyRequest):
-    """The inputs a request averages over, in ascending sample order.
+    """The inputs a request averages over, in ascending sample order, each with the workspace
+    its per-sample calls share: None for one sample, else one dict, dropped with the loop.
 
     smoothgrad and smooth-gradcampp get n copies of x, sample s noised with
     sigma = sigma_rel * (max(x) - min(x)) drawn from (master seed, s). Every
     other method gets x itself, once, whatever n and sigma_rel say.
     """
     if request.method not in ("smoothgrad", "smooth-gradcampp"):
-        yield x
+        yield x, None
         return
+    work = {} if request.n > 1 else None
     sigma_abs = request.sigma_rel * (float(x.max()) - float(x.min()))
     for s in range(request.n):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=request.seed, spawn_key=(s,)))
-        yield add_gaussian_noise(x, sigma_abs, rng)
+        yield add_gaussian_noise(x, sigma_abs, rng, work=work), work
+
+
+def check_target(model: Model, request: SaliencyRequest) -> None:
+    """Raise a CAM request's layer error, or its filter index error, before any pass."""
+    if request.method in CAM_METHODS:
+        conv = model.layers[model.conv_index(request.layer)]
+        _normalize_filters(request.filters, len(conv.kernels))
 
 
 def _stacks(*arrays) -> list[np.ndarray]:

@@ -1,10 +1,12 @@
 """Dense float64 array primitives shared by every layer kind.
 
-All functions here operate on plain numpy arrays in row-major (C) layout,
-return fresh arrays, and never mutate their inputs, so values can be shared
-freely between threads. Everything is computed in 64-bit floats: the
-higher-order derivative products built downstream amplify rounding, and the
-models are small enough that precision costs nothing.
+All functions here operate on plain numpy arrays in row-major (C) layout and
+never mutate their inputs, so values can be shared freely between threads.
+They return fresh arrays unless given a workspace `work`, a dict one call
+site owns: its arrays (result and temporaries) last until that site's next
+call with it. Everything is computed in 64-bit floats: the higher-order
+derivative products built downstream amplify rounding, and the models are
+small enough that precision costs nothing.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ def conv2d(
     bias: Tensor,
     stride: int = 1,
     padding: int = 0,
+    *, work: dict | None = None,
 ) -> Tensor:
     """Cross-correlate a [C,H,W] input with [K,C,kh,kw] kernels.
 
@@ -38,15 +41,12 @@ def conv2d(
     k = as_tensor(kernels)
     b = as_tensor(bias)
     kout, hh, ww = conv2d_shape(x.shape, k.shape, b.shape, stride, padding)
-    cin, h, w = x.shape
     kh, kw = k.shape[2:]
-    ph, pw = h + 2 * padding, w + 2 * padding
-    if padding:
-        x, inner = np.zeros((cin, ph, pw)), x
-        x[:, padding : padding + h, padding : padding + w] = inner
     # im2col: one GEMM of the flattened kernels with every window's taps.
-    cols = _taps(x, kh, kw, stride, hh, ww).reshape(-1, hh * ww)
-    return (k.reshape(kout, -1) @ cols + b[:, None]).reshape(kout, hh, ww)
+    cols = _taps(x, kh, kw, stride, hh, ww, padding, work).reshape(-1, hh * ww)
+    out = np.matmul(k.reshape(kout, -1), cols, out=scratch(work, "out", (kout, hh * ww)))
+    out += b[:, None]
+    return out.reshape(kout, hh, ww)
 
 
 def conv2d_shape(x_shape, k_shape, b_shape, stride: int, padding: int) -> tuple[int, int, int]:
@@ -79,39 +79,78 @@ def conv2d_shape(x_shape, k_shape, b_shape, stride: int, padding: int) -> tuple[
     return kout, (ph - kh) // stride + 1, (pw - kw) // stride + 1
 
 
-def _taps(x: Tensor, kh: int, kw: int, stride: int, hh: int, ww: int) -> Tensor:
-    """[C, kh*kw, hh, ww] copy of window tap (u, v) (index u*kw + v) of every window."""
-    out = np.empty((x.shape[0], kh, kw, hh, ww))
+def scratch(work: dict | None, key: str, shape: tuple, dtype=np.float64, fresh=np.empty):
+    """fresh(shape, dtype) without a workspace, else work[key], zeroed when (re)made to fit."""
+    if work is None:
+        return fresh(shape, dtype)
+    buf = work.get(key)
+    if buf is None or buf.shape != shape or buf.dtype != dtype:
+        buf = work[key] = np.zeros(shape, dtype)
+    return buf
+
+
+def _taps(x, kh: int, kw: int, stride: int, hh: int, ww: int, pad: int, work) -> Tensor:
+    """[C, kh*kw, hh, ww] copy of window tap (u, v) (index u*kw + v) of every window over x
+    zero-padded by pad. Padding is never written, so a reused array's border stays zero."""
+    out = scratch(work, "taps", (x.shape[0], kh, kw, hh, ww), fresh=np.zeros if pad else np.empty)
+    col_spans = [_tap_span(v, stride, pad, x.shape[2], ww) for v in range(kw)]
     for u in range(kh):
-        for v in range(kw):
-            out[:, u, v] = x[:, u : u + stride * hh : stride, v : v + stride * ww : stride]
+        rows, src_rows = _tap_span(u, stride, pad, x.shape[1], hh)
+        for v, (cols, src_cols) in enumerate(col_spans):
+            out[:, u, v, rows, cols] = x[:, src_rows, src_cols]
     return out.reshape(x.shape[0], kh * kw, hh, ww)
 
 
-def relu(t: Tensor) -> Tensor:
+def _tap_span(u: int, stride: int, pad: int, size: int, count: int) -> tuple[slice, slice]:
+    """The windows whose tap u falls inside the unpadded axis, and the positions they read."""
+    lo = max(0, -((u - pad) // stride))
+    hi = max(lo, min(count, -((u - pad - size) // stride)))
+    return slice(lo, hi), slice(u - pad + stride * lo, u - pad + stride * hi, stride)
+
+
+def relu(t: Tensor, *, work: dict | None = None) -> Tensor:
     """Elementwise max(0, x)."""
-    return np.maximum(as_tensor(t), 0.0)
+    return np.maximum(as_tensor(t), 0.0, out=scratch(work, "out", np.shape(t)))
 
 
-def maxpool2d(t: Tensor, size: int, stride: int) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+class PoolArgmax:
+    """Pool maxima as `flat` indices into the raveled [C,H,W] input; unpacks to (rows, cols)."""
+
+    def __init__(self, flat: np.ndarray, input_shape: tuple[int, int, int]):
+        self.flat, self.input_shape = flat, input_shape
+
+    def __iter__(self):
+        return iter(np.unravel_index(self.flat, self.input_shape)[1:])
+
+
+def maxpool2d(t: Tensor, size: int, stride: int, *,
+              work: dict | None = None) -> tuple[Tensor, PoolArgmax]:
     """Per-window maximum over a [C,H,W] tensor.
 
-    Returns the pooled tensor plus the (row, col) source coordinates of each
-    window's maximum. Ties resolve to the first occurrence in row-major window
-    order, which makes the gradient scatter deterministic.
+    Returns the pooled tensor plus a PoolArgmax of each window's maximum, which
+    unpacks to their (row, col) source coordinates. Ties resolve to the first
+    occurrence in row-major window order, making the gradient scatter deterministic.
     """
     x = as_tensor(t)
     c, hh, ww = maxpool2d_shape(x.shape, size, stride)
-    taps = _taps(x, size, size, stride, hh, ww)
+    h, w = x.shape[1:]
+    taps = _taps(x, size, size, stride, hh, ww, 0, work)
     # hit[:, k]: np.argmax's pick (first maximum, else first NaN) is at tap k or before.
-    hit = (taps == taps.max(axis=1, keepdims=True)) | (taps != taps)
+    top = taps.max(axis=1, keepdims=True, out=scratch(work, "max", (c, 1, hh, ww)))
+    hit = np.equal(taps, top, out=scratch(work, "hit", taps.shape, bool))
+    hit |= np.not_equal(taps, taps, out=scratch(work, "nan", taps.shape, bool))
     for k in range(1, size * size):
         hit[:, k] |= hit[:, k - 1]
-    arg = size * size - hit.sum(axis=1, dtype=np.min_scalar_type(size * size))
-    du = arg // size
-    rows = du + np.arange(0, stride * hh, stride)[:, None]
-    cols = (arg - du * size) + np.arange(0, stride * ww, stride)
-    return x[np.arange(c)[:, None, None], rows, cols], (rows, cols)
+    # So the pick is tap size*size - n for n = hit.sum(); tap du*size + dv of window (i, j)
+    # reads input (c, i*stride + du, j*stride + dv), du*w + dv past the window's first tap.
+    small = np.min_scalar_type(size * size)
+    n = hit.sum(axis=1, dtype=small, out=scratch(work, "count", (c, hh, ww), small))
+    offsets = np.array([(k // size) * w + k % size for k in range(size * size, -1, -1)])
+    flat = np.take(offsets, n, out=scratch(work, "flat", n.shape, np.intp), mode="wrap")
+    flat += np.arange(0, c * h * w, h * w)[:, None, None]
+    flat += np.arange(0, stride * hh * w, stride * w)[:, None] + np.arange(0, stride * ww, stride)
+    pooled = np.take(x, flat, out=scratch(work, "out", n.shape), mode="wrap")
+    return pooled, PoolArgmax(flat, x.shape)
 
 
 def maxpool2d_shape(x_shape, size: int, stride: int) -> tuple[int, int, int]:
@@ -163,7 +202,8 @@ def softmax_shape(x_shape) -> tuple[int]:
     return x_shape
 
 
-def add_gaussian_noise(t: Tensor, sigma: float, rng: np.random.Generator) -> Tensor:
+def add_gaussian_noise(t: Tensor, sigma: float, rng: np.random.Generator, *,
+                       work: dict | None = None) -> Tensor:
     """Add i.i.d. N(0, sigma^2) noise per element.
 
     sigma is an absolute standard deviation; callers working with a relative
@@ -175,7 +215,9 @@ def add_gaussian_noise(t: Tensor, sigma: float, rng: np.random.Generator) -> Ten
     x = as_tensor(t)
     if sigma == 0:
         return x.copy()
-    return x + rng.normal(0.0, sigma, size=x.shape)
+    noise = rng.standard_normal(out=scratch(work, "noise", x.shape))
+    np.add(np.multiply(noise, sigma, out=noise), 0.0, out=noise)  # rng.normal's 0.0 + sigma*z
+    return np.add(x, noise, out=noise)
 
 
 def bilinear_resize(values: Tensor, target_h: int, target_w: int) -> Tensor:

@@ -136,6 +136,34 @@ def test_usage_errors_print_one_line(tmp_path, model_files, scene_ppm, capsys, a
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    pytest.param(["--filters", "0,1,9"], "error: filter index 9 out of range [0, 4)", id="filter"),
+    pytest.param(["--layer", "nosuch"], "error: unknown layer: nosuch", id="unknown-layer"),
+    pytest.param(["--layer", "relu1"], "error: layer 'relu1' has kind 'relu'", id="relu-layer"),
+])
+def test_bad_target_fails_before_any_pass(tmp_path, model_files, scene_ppm, capsys, monkeypatch,
+                                          extra, message):
+    passes = []
+    for module in (saliency, smoothcam.cli):
+        monkeypatch.setattr(module, "forward", lambda *args, **kwargs: passes.append(args))
+    out = tmp_path / "out"
+    assert run_cli(_explain_args(model_files, scene_ppm, str(out), extra=extra)) == 2
+    assert passes == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("layer", ["no\nsuch", "conv1\n", "conv1\r"])
+def test_data_error_prints_one_line(tmp_path, model_files, scene_ppm, capsys, layer):
+    out = tmp_path / "out"
+    assert run_cli(_explain_args(model_files, scene_ppm, str(out), extra=["--layer", layer])) == 2
+    lines = capsys.readouterr().err.splitlines()
+    escaped = layer.replace("\r", "\\r").replace("\n", "\\n")
+    assert lines == [f"error: unknown layer: {escaped} (valid conv layers: conv1)"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--class", "3"), ("--filters", "0"),
                                          ("--neurons", "3:5"), ("--region-box", "0:0:6:6")])
 def test_line_break_in_a_flag_stays_out_of_the_files(tmp_path, model_files, scene_ppm, flag,

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -448,6 +449,27 @@ def test_smooth_triple_refuses_a_non_cam_request_before_any_pass(random_model, r
     request = SaliencyRequest(method="smoothgrad", score=ScoreMode("probability"))
     with pytest.raises(UnknownLayerError):
         smooth_triple(random_model, rng.random(random_model.input_shape), request)
+    assert passes == []
+
+
+@pytest.mark.parametrize("changes, error, message", [
+    pytest.param({"filters": (0, 1, 9)}, ParamError, "filter index 9 out of range [0, 4)",
+                 id="filter-9"),
+    pytest.param({"filters": (-1,)}, ParamError, "filter index -1 out of range [0, 4)",
+                 id="filter-negative"),
+    pytest.param({"layer": "nosuch"}, UnknownLayerError, "unknown layer: nosuch",
+                 id="unknown-layer"),
+    pytest.param({"layer": "relu1"}, NonConvLayerError, "layer 'relu1' has kind 'relu'",
+                 id="relu-layer"),
+])
+@pytest.mark.parametrize("method", CAM_METHODS)
+def test_run_rejects_a_bad_target_before_any_pass(random_model, rng, monkeypatch, method,
+                                                   changes, error, message):
+    passes = []
+    monkeypatch.setattr(saliency, "forward", lambda *args, **kwargs: passes.append(args))
+    request = SaliencyRequest(method=method, **{"layer": "conv1", "n": 3, **changes})
+    with pytest.raises(error, match=re.escape(message)):
+        run(random_model, rng.random(random_model.input_shape), request)
     assert passes == []
 
 
