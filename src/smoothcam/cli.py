@@ -201,8 +201,8 @@ def _parse_request(args) -> tuple[SaliencyRequest, float]:
 def _meta_header(request: SaliencyRequest, blend: float, chosen_class: int) -> str:
     """The map CSV's `#` line, echoing parsed values: raw flag text could break the line."""
     sel = request.neurons
-    coords = "-" if sel is None or sel.region else ",".join(f"{r}:{c}" for r, c in sel.coords)
-    box = ":".join(str(v) for v in sel.box) if sel is not None and sel.region else "-"
+    coords = "-" if sel is None or sel.region else sel.text()
+    box = sel.text() if sel is not None and sel.region else "-"
     fields = [
         ("method", request.method),
         ("class", "auto" if request.score.class_index is None else request.score.class_index),

@@ -167,19 +167,15 @@ _TAIL_WORDS = np.frombuffer("".join(f"{i:03d}," for i in range(1000)).encode(), 
 def _round_nanos(v: np.ndarray) -> np.ndarray:
     """Exact round-half-even(v * 1e9) as int64, for finite v in [0, 1].
 
-    TwoProduct (Veltkamp split of v; 1e9 has 21 significant bits, so it needs
-    none) gives v * 1e9 = p + e with no error. Rounding is monotone and every
-    half-integer below 2**52 is a double, so rint(p) is the answer unless p is
-    itself a half-integer. Then the true product lies above or below it by e;
-    only e == 0 is a real tie, which rint already sent to even.
+    Rounding is monotone and every half-integer below 2**52 is a double, so
+    rint(p) of the rounded product p = v * 1e9 is the answer unless p is itself
+    a half-integer. Those few ask Python's correctly rounded f"{v:.9f}" instead.
     """
     p = v * 1e9
-    t = v * 134217729.0  # 2**27 + 1
-    hi = t - (t - v)
-    e = (hi * 1e9 - p) + (v - hi) * 1e9
-    r = np.rint(p)
-    off_tie = (np.abs(p - r) == 0.5) & (e != 0)
-    return np.where(off_tie, p + 0.5 * np.sign(e), r).astype(np.int64)
+    q = np.rint(p)
+    tie = np.abs(p - q) == 0.5
+    q[tie] = [int(f"{t:.9f}".replace(".", "")) for t in v[tie].tolist()]
+    return q.astype(np.int64)
 
 
 def _fixed_width_rows(q: np.ndarray) -> bytes:

@@ -25,7 +25,7 @@ from .gradients import (
     grad_wrt_layer,
     higher_order_triple,
 )
-from .network import Model, forward
+from .network import Model, forward, validate
 from .tensor import Tensor, add_gaussian_noise, as_tensor, bilinear_resize
 
 METHODS = ("sensitivity", "smoothgrad", "gradcam", "gradcampp", "smooth-gradcampp")
@@ -72,6 +72,11 @@ class NeuronSelection:
                     raise ParamError(f"neuron coordinate ({r}, {c}) out of bounds for {h}x{w} map")
                 keep[r, c] = True
         return keep
+
+    def text(self) -> str:
+        """The selection as its flag value: "r:c,r:c" for coordinates, "t:l:b:r" for a box."""
+        entries = [self.box] if self.region else self.coords
+        return ",".join(":".join(str(v) for v in entry) for entry in entries)
 
 
 @dataclass
@@ -129,32 +134,24 @@ def smooth_triple(
 ) -> tuple[GradientTriple, Tensor]:
     """Sample-averaged derivative stacks plus the reference activation stack.
 
-    Each of the request's samples (`_samples`) is forwarded, and the raw-logit
+    Each of the request's samples (`_average`) is forwarded, and the raw-logit
     gradient at the target layer is expanded into the score's derivative
-    triple for the un-noised pass's class. The elementwise means accumulate in
-    fixed sample order. The returned activations are taken from the un-noised
-    pass (activation_source="original") or averaged across samples ("averaged").
+    triple for the un-noised pass's class. The activations come from the
+    un-noised pass (activation_source="original") or their sample mean ("averaged").
     """
     model.conv_index(request.layer)
-    x = as_tensor(input)
-    base = forward(model, x)
-    c = request.score.resolve_class(base, model.class_count)
-    layer_shape = base.per_layer[request.layer].shape
-    sums = [np.zeros(layer_shape) for _ in range(3)]
-    act_sum = np.zeros(layer_shape)
-    raw_score = ScoreMode("raw-logit", c)
-    for n, (sample, work) in enumerate(_samples(x, request), 1):
+    averaged = request.activation_source == "averaged"
+
+    def per_sample(sample, c, work):
         tr = forward(model, sample, work=work)
-        g = grad_wrt_layer(model, tr, raw_score, request.layer, work=work)
+        g = grad_wrt_layer(model, tr, ScoreMode("raw-logit", c), request.layer, work=work)
         triple = higher_order_triple(g, float(tr.logits[c]), request.score.mode, work=work)
-        for total, d in zip(sums, (triple.d1, triple.d2, triple.d3)):
-            total += d
-        if request.activation_source == "averaged":
-            act_sum += tr.per_layer[request.layer]
-    averaged = GradientTriple(sums[0] / float(n), sums[1] / float(n), sums[2] / float(n))
-    if request.activation_source == "averaged":
-        return averaged, act_sum / float(n)
-    return averaged, base.per_layer[request.layer]
+        stacks = (triple.d1, triple.d2, triple.d3)
+        return stacks + (tr.per_layer[request.layer],) if averaged else stacks
+
+    base, _, means = _average(model, as_tensor(input), request, per_sample)
+    activations = means[3] if averaged else base.per_layer[request.layer]
+    return GradientTriple(*means[:3]), activations
 
 
 def compute_alpha(avg: GradientTriple, activations: Tensor) -> Tensor:
@@ -213,16 +210,13 @@ def smoothgrad_map(model: Model, input: Tensor, request: SaliencyRequest) -> Sal
     """
     if request.method not in ("sensitivity", "smoothgrad"):
         raise ParamError(f"smoothgrad_map does not handle method '{request.method}'")
-    x = as_tensor(input)
-    base = forward(model, x)
-    c = request.score.resolve_class(base, model.class_count)
-    score = ScoreMode(request.score.mode, c)
-    acc = np.zeros_like(x)
-    for n, (sample, work) in enumerate(_samples(x, request), 1):
-        acc += grad_wrt_input(model, sample, score, work=work)
-    avg = acc / float(n)
+
+    def per_sample(sample, c, work):
+        return (grad_wrt_input(model, sample, ScoreMode(request.score.mode, c), work=work),)
+
+    _, c, (avg,) = _average(model, as_tensor(input), request, per_sample)
     raw = np.abs(avg).max(axis=0)
-    display = postprocess(raw, x.shape[1], x.shape[2])
+    display = postprocess(raw, model.input_shape[1], model.input_shape[2])
     return SaliencyMap(raw=raw, display=display, meta=_meta(request, c))
 
 
@@ -266,29 +260,41 @@ def run(model: Model, input: Tensor, request: SaliencyRequest) -> SaliencyMap:
     return SaliencyMap(raw=raw, display=display, meta=_meta(request, c))
 
 
-def _samples(x: Tensor, request: SaliencyRequest):
-    """The inputs a request averages over, in ascending sample order, each with the workspace
-    its per-sample calls share: None for one sample, else one dict, dropped with the loop.
+def _average(model: Model, x: Tensor, request: SaliencyRequest, per_sample):
+    """Run the clean pass, resolve the class, and average per_sample(sample, class, work).
 
-    smoothgrad and smooth-gradcampp get n copies of x, sample s noised with
-    sigma = sigma_rel * (max(x) - min(x)) drawn from (master seed, s). Every
-    other method gets x itself, once, whatever n and sigma_rel say.
+    Returns the clean trace, the class and the means of per_sample's arrays,
+    summed from zero in ascending sample order. smoothgrad and smooth-gradcampp
+    average n copies of x, sample s noised with sigma = sigma_rel * (max(x) -
+    min(x)) drawn from (master seed, s); every other method uses x itself, once.
+    The samples share one workspace: None for one sample, else one dict.
     """
-    if request.method not in ("smoothgrad", "smooth-gradcampp"):
-        yield x, None
-        return
-    work = {} if request.n > 1 else None
-    sigma_abs = request.sigma_rel * (float(x.max()) - float(x.min()))
-    for s in range(request.n):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=request.seed, spawn_key=(s,)))
-        yield add_gaussian_noise(x, sigma_abs, rng, work=work), work
+    base = forward(model, x)
+    c = request.score.resolve_class(base, model.class_count)
+    noised = request.method in ("smoothgrad", "smooth-gradcampp")
+    n = request.n if noised else 1
+    work = {} if n > 1 else None
+    sigma_abs = request.sigma_rel * (float(x.max()) - float(x.min())) if noised else None
+    for s in range(n):
+        sample = x
+        if noised:
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=request.seed, spawn_key=(s,)))
+            sample = add_gaussian_noise(x, sigma_abs, rng, work=work)
+        arrays = per_sample(sample, c, work)
+        if s == 0:
+            sums = [np.zeros(np.shape(a)) for a in arrays]
+        for total, a in zip(sums, arrays):
+            total += a
+    return base, c, [total / float(n) for total in sums]
 
 
 def check_target(model: Model, request: SaliencyRequest) -> None:
-    """Raise a CAM request's layer error, or its filter index error, before any pass."""
+    """Raise a CAM request's layer, filter index or neuron selection error before any pass."""
     if request.method in CAM_METHODS:
         conv = model.layers[model.conv_index(request.layer)]
         _normalize_filters(request.filters, len(conv.kernels))
+        if request.neurons is not None:
+            request.neurons.mask(*validate(model)[request.layer][1:])
 
 
 def _stacks(*arrays) -> list[np.ndarray]:
@@ -311,13 +317,7 @@ def _normalize_filters(filters, k: int) -> np.ndarray:
 
 
 def _meta(request: SaliencyRequest, class_index: int) -> dict:
-    neurons = None
-    if request.neurons is not None:
-        sel = request.neurons
-        if sel.region:
-            neurons = "box=" + ":".join(str(v) for v in sel.box)
-        else:
-            neurons = "coords=" + ",".join(f"{r}:{c}" for r, c in sel.coords)
+    sel = request.neurons
     return {
         "method": request.method,
         "class": class_index,
@@ -327,6 +327,6 @@ def _meta(request: SaliencyRequest, class_index: int) -> dict:
         "sigma": request.sigma_rel,
         "activation_source": request.activation_source,
         "filters": None if request.filters is None else list(request.filters),
-        "neurons": neurons,
+        "neurons": None if sel is None else ("box=" if sel.region else "coords=") + sel.text(),
         "seed": request.seed,
     }

@@ -140,6 +140,10 @@ def test_usage_errors_print_one_line(tmp_path, model_files, scene_ppm, capsys, a
     pytest.param(["--filters", "0,1,9"], "error: filter index 9 out of range [0, 4)", id="filter"),
     pytest.param(["--layer", "nosuch"], "error: unknown layer: nosuch", id="unknown-layer"),
     pytest.param(["--layer", "relu1"], "error: layer 'relu1' has kind 'relu'", id="relu-layer"),
+    pytest.param(["--neurons", "99:99"],
+                 "error: neuron coordinate (99, 99) out of bounds for 14x14 map", id="neuron"),
+    pytest.param(["--region-box", "0:0:99:99"],
+                 "error: region box (0, 0, 99, 99) out of bounds for 14x14 map", id="region-box"),
 ])
 def test_bad_target_fails_before_any_pass(tmp_path, model_files, scene_ppm, capsys, monkeypatch,
                                           extra, message):

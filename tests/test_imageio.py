@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -202,6 +203,12 @@ def test_overlay_validates_arguments(rng):
         overlay(base, np.zeros((2, 2)), blend=1.5)
 
 
+@pytest.mark.parametrize("shape", [(2, 2, 3), (4,)])
+def test_heat_image_rejects_a_map_that_is_not_2d(shape):
+    with pytest.raises(ShapeError, match=re.escape(f"heat map must be 2-D, got shape {shape}")):
+        heat_image(np.zeros(shape))
+
+
 # ---------------------------------------------------------------------------
 # CSV dump
 # ---------------------------------------------------------------------------
@@ -257,6 +264,8 @@ def _maps(elements, min_side=1):
 
 
 @given(values=_maps(_UNIT), header=_HEADERS)
+# Every odd multiple of 1/1024 times 1e9 is an exact half-integer: a map of ties.
+@example(values=np.arange(1, 1024, 2).reshape(16, 32) / 1024, header=None)
 def test_csv_unit_maps_match_per_value_format(tmp_path_factory, values, header):
     directory = tmp_path_factory.mktemp("csv")
     assert _written(directory, values, header) == _per_value_csv(values, header)

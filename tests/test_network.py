@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from smoothcam import (
+    LayerSpec,
     Model,
     ShapeError,
     SmoothCamError,
@@ -61,6 +64,19 @@ def test_wrong_class_count_rejected():
     layers = [flatten_layer("f"), dense_layer("d", np.ones((3, 4)), np.zeros(3))]
     with pytest.raises(ShapeError):
         Model(layers=layers, input_shape=(1, 2, 2), class_count=5)
+
+
+@pytest.mark.parametrize("layers, input_shape, message", [
+    pytest.param([LayerSpec("probe", "conv3d")], (1, 2, 2), "layer 'probe': unknown kind 'conv3d'",
+                 id="unknown-kind"),
+    pytest.param([flatten_layer("f")], (4, 4), "input shape must be [C,H,W] with positive dims",
+                 id="rank-2-input"),
+    pytest.param([flatten_layer("f")], (1, 0, 4), "input shape must be [C,H,W] with positive dims",
+                 id="empty-input"),
+])
+def test_validate_rejects_a_bad_layer_kind_or_input_shape(layers, input_shape, message):
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        Model(layers=layers, input_shape=input_shape, class_count=4)
 
 
 # conv1 (1 kernel) -> flatten -> dense1 (1 output) on 1x4x4; each case breaks one bias.

@@ -461,6 +461,10 @@ def test_smooth_triple_refuses_a_non_cam_request_before_any_pass(random_model, r
                  id="unknown-layer"),
     pytest.param({"layer": "relu1"}, NonConvLayerError, "layer 'relu1' has kind 'relu'",
                  id="relu-layer"),
+    pytest.param({"neurons": NeuronSelection(coords=((3, 5), (99, 99)))}, ParamError,
+                 "neuron coordinate (99, 99) out of bounds for 14x14 map", id="neuron"),
+    pytest.param({"neurons": NeuronSelection(box=(0, 0, 99, 99), region=True)}, ParamError,
+                 "region box (0, 0, 99, 99) out of bounds for 14x14 map", id="region-box"),
 ])
 @pytest.mark.parametrize("method", CAM_METHODS)
 def test_run_rejects_a_bad_target_before_any_pass(random_model, rng, monkeypatch, method,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -386,6 +387,29 @@ def test_resize_respects_value_bounds(rng):
     out = bilinear_resize(src, 13, 11)
     assert out.min() >= src.min() - 1e-12
     assert out.max() <= src.max() + 1e-12
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: conv2d(np.zeros((4, 4)), np.zeros((1, 1, 3, 3)), np.zeros(1)),
+                 "conv2d expects input [C,H,W] and kernels [K,C,kh,kw]", id="conv2d-input"),
+    pytest.param(lambda: conv2d(np.zeros((1, 4, 4)), np.zeros((1, 3, 3)), np.zeros(1)),
+                 "conv2d expects input [C,H,W] and kernels [K,C,kh,kw]", id="conv2d-kernels"),
+    pytest.param(lambda: maxpool2d(np.zeros((4, 4)), 2, 2),
+                 "maxpool2d expects a [C,H,W] tensor", id="maxpool2d"),
+    pytest.param(lambda: dense(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2)),
+                 "dense expects vector and matrix", id="dense-input"),
+    pytest.param(lambda: dense(np.zeros(2), np.zeros(2), np.zeros(2)),
+                 "dense expects vector and matrix", id="dense-weights"),
+    pytest.param(lambda: softmax(np.zeros((2, 2))), "softmax expects a non-empty vector",
+                 id="softmax-matrix"),
+    pytest.param(lambda: softmax(np.zeros(0)), "softmax expects a non-empty vector",
+                 id="softmax-empty"),
+    pytest.param(lambda: bilinear_resize(np.zeros((1, 2, 2)), 4, 4),
+                 "bilinear_resize expects a 2-D map", id="resize"),
+])
+def test_primitives_reject_the_wrong_rank(call, message):
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        call()
 
 
 def test_resize_rejects_zero_targets():
