@@ -35,8 +35,13 @@ class ScoreMode:
             raise ParamError(f"unknown score mode '{self.mode}', expected one of {SCORE_MODES}")
 
     def resolve_class(self, trace: ActivationTrace, class_count: int) -> int:
+        c = self.check_class(class_count)
+        return int(np.argmax(trace.probabilities)) if c is None else c
+
+    def check_class(self, class_count: int) -> int | None:
+        """The fixed class index (None for auto), or ParamError outside [0, class_count)."""
         if self.class_index is None:
-            return int(np.argmax(trace.probabilities))
+            return None
         c = int(self.class_index)
         if not 0 <= c < class_count:
             raise ParamError(f"class index {c} out of range [0, {class_count})")

@@ -13,6 +13,7 @@ regardless of how callers schedule the per-sample passes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,9 +55,14 @@ class NeuronSelection:
         if self.region:
             if self.box is None or self.coords is not None:
                 raise ParamError("region selection requires box and forbids coords")
+            object.__setattr__(self, "box", _ints(self.box, "a region box", 4))
         else:
             if self.coords is None or self.box is not None:
                 raise ParamError("coordinate selection requires coords and forbids box")
+            if not isinstance(self.coords, tuple):  # () stays: criterion 7 maps it to zero
+                raise ParamError(f"coords must be a tuple of (row, col) pairs, got {self.coords!r}")
+            coords = tuple(_ints(pair, "a neuron coordinate", 2) for pair in self.coords)
+            object.__setattr__(self, "coords", coords)
 
     def mask(self, h: int, w: int) -> np.ndarray:
         """Boolean [h,w] mask of selected positions; out-of-bounds raises ParamError."""
@@ -117,7 +123,7 @@ class SaliencyRequest:
                 f"not '{self.method}'"
             )
         if self.filters is not None:
-            self.filters = tuple(int(k) for k in self.filters)
+            self.filters = _ints(self.filters, "filters")
 
 
 @dataclass
@@ -235,9 +241,9 @@ def postprocess(raw_map: Tensor, input_h: int, input_w: int) -> np.ndarray:
 
 def run(model: Model, input: Tensor, request: SaliencyRequest) -> SaliencyMap:
     """Dispatch a request to its method pipeline and return the finished map."""
+    check_target(model, request)
     if request.method in ("sensitivity", "smoothgrad"):
         return smoothgrad_map(model, input, request)
-    check_target(model, request)
     x = as_tensor(input)
     base = forward(model, x)
     c = request.score.resolve_class(base, model.class_count)
@@ -289,7 +295,9 @@ def _average(model: Model, x: Tensor, request: SaliencyRequest, per_sample):
 
 
 def check_target(model: Model, request: SaliencyRequest) -> None:
-    """Raise a CAM request's layer, filter index or neuron selection error before any pass."""
+    """Raise a request's class index error, or a CAM request's layer, filter index or neuron
+    selection error, before any pass."""
+    request.score.check_class(model.class_count)
     if request.method in CAM_METHODS:
         conv = model.layers[model.conv_index(request.layer)]
         _normalize_filters(request.filters, len(conv.kernels))
@@ -306,10 +314,24 @@ def _stacks(*arrays) -> list[np.ndarray]:
     return stacks
 
 
+def _ints(values, what: str, count: int | None = None) -> tuple[int, ...]:
+    """values as a tuple of ints, each read with operator.index and never a bool: exactly
+    `count` of them, or at least one without a count. Anything else is a ParamError."""
+    try:
+        items = tuple(values)
+        read = tuple(operator.index(v) for v in items)
+    except TypeError:
+        items = read = ()
+    wrong_count = len(read) != count if count else not read
+    if wrong_count or any(isinstance(v, bool) for v in items):
+        raise ParamError(f"{what} must be {count or 'one or more'} integers, got {values!r}")
+    return read
+
+
 def _normalize_filters(filters, k: int) -> np.ndarray:
     if filters is None:
         return np.arange(k)
-    idx = sorted({int(i) for i in filters})
+    idx = sorted(set(_ints(filters, "filters")))
     for i in idx:
         if not 0 <= i < k:
             raise ParamError(f"filter index {i} out of range [0, {k})")

@@ -12,6 +12,7 @@ small enough that precision costs nothing.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ParamError, ShapeError
 
@@ -91,21 +92,18 @@ def scratch(work: dict | None, key: str, shape: tuple, dtype=np.float64, fresh=n
 
 def _taps(x, kh: int, kw: int, stride: int, hh: int, ww: int, pad: int, work) -> Tensor:
     """[C, kh*kw, hh, ww] copy of window tap (u, v) (index u*kw + v) of every window over x
-    zero-padded by pad. Padding is never written, so a reused array's border stays zero."""
-    out = scratch(work, "taps", (x.shape[0], kh, kw, hh, ww), fresh=np.zeros if pad else np.empty)
-    col_spans = [_tap_span(v, stride, pad, x.shape[2], ww) for v in range(kw)]
-    for u in range(kh):
-        rows, src_rows = _tap_span(u, stride, pad, x.shape[1], hh)
-        for v, (cols, src_cols) in enumerate(col_spans):
-            out[:, u, v, rows, cols] = x[:, src_rows, src_cols]
-    return out.reshape(x.shape[0], kh * kw, hh, ww)
-
-
-def _tap_span(u: int, stride: int, pad: int, size: int, count: int) -> tuple[slice, slice]:
-    """The windows whose tap u falls inside the unpadded axis, and the positions they read."""
-    lo = max(0, -((u - pad) // stride))
-    hi = max(lo, min(count, -((u - pad - size) // stride)))
-    return slice(lo, hi), slice(u - pad + stride * lo, u - pad + stride * hi, stride)
+    zero-padded by pad. The caller's shape rule keeps every window inside the padded input."""
+    c, h, w = x.shape
+    if pad:  # the border is zero when the buffer is made and is never written
+        padded = scratch(work, "padded", (c, h + 2 * pad, w + 2 * pad), fresh=np.zeros)
+        padded[:, pad : pad + h, pad : pad + w] = x
+        x = padded
+    sc, sh, sw = x.strides
+    windows = as_strided(x, (c, kh, kw, hh, ww), (sc, sh, sw, stride * sh, stride * sw),
+                         writeable=False)
+    out = scratch(work, "taps", windows.shape)
+    np.copyto(out, windows)
+    return out.reshape(c, kh * kw, hh, ww)
 
 
 def relu(t: Tensor, *, work: dict | None = None) -> Tensor:

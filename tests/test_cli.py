@@ -144,6 +144,9 @@ def test_usage_errors_print_one_line(tmp_path, model_files, scene_ppm, capsys, a
                  "error: neuron coordinate (99, 99) out of bounds for 14x14 map", id="neuron"),
     pytest.param(["--region-box", "0:0:99:99"],
                  "error: region box (0, 0, 99, 99) out of bounds for 14x14 map", id="region-box"),
+    pytest.param(["--class", "10"], "error: class index 10 out of range [0, 10)", id="class"),
+    pytest.param(["--class", "10", "--filters", "0,1"],
+                 "error: class index 10 out of range [0, 10)", id="class-filters"),
 ])
 def test_bad_target_fails_before_any_pass(tmp_path, model_files, scene_ppm, capsys, monkeypatch,
                                           extra, message):

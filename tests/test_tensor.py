@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from smoothcam import (
     ParamError,
@@ -245,6 +247,50 @@ def test_maxpool_overlapping_ties_follow_argmax(rng, size, stride):
     x[x == 0.0] = rng.choice([0.0, -0.0], size=int((x == 0.0).sum()))
     _assert_matches_argmax(x, size, stride)
     _assert_matches_argmax(np.full((2, 6, 6), -0.0), size, stride)
+
+
+# ---------------------------------------------------------------------------
+# the window gather behind conv2d and maxpool2d
+# ---------------------------------------------------------------------------
+
+_SIDES = st.integers(1, 4)
+
+
+def _side(kernel, stride, pad, windows):
+    """An input side giving `windows` conv windows, or the fewest past that if it is below 1."""
+    side = stride * (windows - 1) + kernel - 2 * pad
+    while side < 1:
+        side += stride
+    return side
+
+
+@given(c=st.integers(1, 3), kh=_SIDES, kw=_SIDES, stride=_SIDES, pad=st.integers(0, 4),
+       ho=_SIDES, wo=_SIDES, seed=st.integers(0, 2**32 - 1))
+def test_conv2d_gather_matches_the_oracle(c, kh, kw, stride, pad, ho, wo, seed):
+    assume(kh != kw and pad <= max(kh, kw))
+    h, w = _side(kh, stride, pad, ho), _side(kw, stride, pad, wo)
+    rng = np.random.default_rng(seed)
+    kernels, bias = rng.standard_normal((2, c, kh, kw)), rng.standard_normal(2)
+    work = {}
+    for x in (rng.standard_normal((c, h, w)), rng.standard_normal((c, h, w))):
+        want = conv2d_oracle(x, kernels, bias, stride=stride, padding=pad)
+        for got in (conv2d(x, kernels, bias, stride, pad),
+                    conv2d(x, kernels, bias, stride, pad, work=work)):
+            assert got.shape == want.shape and np.max(np.abs(got - want)) < 1e-12
+
+
+@given(c=st.integers(1, 3), size=_SIDES, stride=_SIDES, extra_h=st.integers(0, 6),
+       extra_w=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_maxpool2d_gather_matches_the_bruteforce(c, size, stride, extra_h, extra_w, seed):
+    rng = np.random.default_rng(seed)
+    shape = (c, size + extra_h, size + extra_w)
+    work = {}
+    for x in (rng.integers(-2, 3, shape).astype(float), rng.standard_normal(shape)):
+        want, want_rows, want_cols = _argmax_pool_oracle(x, size, stride)
+        for pooled, (rows, cols) in (maxpool2d(x, size, stride),
+                                     maxpool2d(x, size, stride, work=work)):
+            assert pooled.tobytes() == want.tobytes()
+            assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
 
 
 def test_maxpool_window_too_large():
