@@ -144,9 +144,10 @@ def _cmd_list_layers(args) -> None:
 
 
 def _cmd_make_fixture(args) -> None:
-    if args.seed < 0:
-        raise _UsageError("--seed must be non-negative")
-    model = modelio.build_fixture(args.kind, seed=args.seed, class_count=args.classes)
+    try:
+        model = modelio.build_fixture(args.kind, seed=args.seed, class_count=args.classes)
+    except ParamError as exc:
+        raise _UsageError(str(exc)) from None
     modelio.save_model(model, args.model, args.weights)
     if args.scene is not None:
         if args.kind == "detector":
@@ -164,24 +165,21 @@ def _cmd_make_fixture(args) -> None:
 
 def _parse_request(args) -> tuple[SaliencyRequest, float]:
     class_index = filters = neurons = None
-    if args.class_spec != "auto":
-        [(class_index,)] = _read_ints(args.class_spec, "--class", "an integer or 'auto'",
-                                      listed=False)
     if not 0.0 <= args.blend <= 1.0:
         raise _UsageError("--blend must be in [0, 1]")
-    if args.filters is not None:
-        # Repeats name the same maps: each filter is computed once, in first-seen order.
-        read = _read_ints(args.filters, "--filters", "integers")
-        filters = tuple(dict.fromkeys(k for (k,) in read))
-    if args.neurons is not None:
-        coords = _read_ints(args.neurons, "--neurons", "row:col integers")
-        neurons = NeuronSelection(coords=tuple(coords), region=False)
-    elif args.region_box is not None:
-        [box] = _read_ints(args.region_box, "--region-box", "top:left:bottom:right integers",
-                           listed=False)
-        neurons = NeuronSelection(box=box, region=True)
-
     try:
+        if args.class_spec != "auto":
+            class_index = _read_ints(args.class_spec, "--class", "an integer or 'auto'")
+        if args.filters is not None:
+            # Repeats name the same maps: each filter is computed once, in first-seen order.
+            filters = tuple(dict.fromkeys(_read_ints(k, "--filters", "integers")
+                                          for k in args.filters.split(",")))
+        if args.neurons is not None:
+            neurons = NeuronSelection(coords=tuple(
+                _read_ints(rc, "--neurons", "row:col integers") for rc in args.neurons.split(",")))
+        elif args.region_box is not None:
+            box = _read_ints(args.region_box, "--region-box", "top:left:bottom:right integers")
+            neurons = NeuronSelection(box=box, region=True)
         request = SaliencyRequest(
             method=args.method,
             score=ScoreMode(_SCORE_FLAGS[args.score], class_index),
@@ -221,19 +219,11 @@ def _meta_header(request: SaliencyRequest, blend: float, chosen_class: int) -> s
     return " ".join(f"{key}={value}" for key, value in fields)
 
 
-def _read_ints(raw: str, flag: str, form: str, listed: bool = True) -> list[tuple[int, ...]]:
-    """A flag's comma-separated entries (one entry unless listed), each the integers `form`
-    names in colon-separated fields: "3:5,5:5" as "row:col integers" is [(3, 5), (5, 5)]."""
-    entries = [tok for tok in raw.split(",") if tok != ""] if listed else [raw]
-    if not entries:
-        raise _UsageError(f"{flag} must list at least one entry")
-    read = []
-    for tok in entries:
-        try:
-            values = tuple(int(field) for field in tok.split(":"))
-        except ValueError:
-            values = ()
-        if len(values) != form.count(":") + 1:
-            raise _UsageError(f"{flag} expects {form}, got {tok!r}")
-        read.append(values)
-    return read
+def _read_ints(raw: str, flag: str, form: str) -> int | tuple[int, ...]:
+    """One flag entry as an int, or its colon-separated fields as a tuple of ints: "3" is 3,
+    "3:5" is (3, 5). Text that is not `form` is a usage error; the library checks the values."""
+    try:
+        values = tuple(int(field) for field in raw.split(":"))
+    except ValueError:
+        raise _UsageError(f"{flag} expects {form}, got {raw!r}") from None
+    return values[0] if len(values) == 1 else values

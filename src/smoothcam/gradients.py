@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ParamError, UnsupportedError
 from .network import KINDS, ActivationTrace, Model, forward, logits_layer_index
-from .tensor import Tensor, as_tensor, scratch, softmax
+from .tensor import Tensor, as_tensor, integer, scratch, softmax
 
 SCORE_MODES = ("raw-logit", "exp-logit", "probability")
 
@@ -33,6 +33,8 @@ class ScoreMode:
     def __post_init__(self):
         if self.mode not in SCORE_MODES:
             raise ParamError(f"unknown score mode '{self.mode}', expected one of {SCORE_MODES}")
+        if self.class_index is not None:
+            object.__setattr__(self, "class_index", integer(self.class_index, "class index"))
 
     def resolve_class(self, trace: ActivationTrace, class_count: int) -> int:
         c = self.check_class(class_count)
@@ -40,10 +42,8 @@ class ScoreMode:
 
     def check_class(self, class_count: int) -> int | None:
         """The fixed class index (None for auto), or ParamError outside [0, class_count)."""
-        if self.class_index is None:
-            return None
-        c = int(self.class_index)
-        if not 0 <= c < class_count:
+        c = self.class_index
+        if c is not None and not 0 <= c < class_count:
             raise ParamError(f"class index {c} out of range [0, {class_count})")
         return c
 

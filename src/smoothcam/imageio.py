@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ParamError, ShapeError
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, as_tensor, ints
 
 _WHITESPACE = b" \t\r\n\v\f"
 
@@ -83,7 +83,7 @@ def to_input_tensor(img: RgbImage, model_input_shape) -> Tensor:
 
     One-channel models take the luma 0.299 R + 0.587 G + 0.114 B.
     """
-    c, h, w = (int(d) for d in model_input_shape)
+    c, h, w = ints(model_input_shape, "model input shape", 3)
     if (img.height, img.width) != (h, w):
         raise ShapeError(
             f"image is {img.width}x{img.height}, model expects {w}x{h} "

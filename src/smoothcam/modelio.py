@@ -27,6 +27,7 @@ from .network import (
     relu_layer,
     softmax_layer,
 )
+from .tensor import integer
 
 FORMAT_VERSION = 1
 
@@ -148,6 +149,7 @@ def build_fixture(kind: str, seed: int = 0, class_count: int = 10) -> Model:
     gets nothing. The class-0 salient region is therefore exactly the bright
     part of the image, which makes localization checkable without training.
     """
+    seed, class_count = integer(seed, "seed", 0), integer(class_count, "class count")
     if kind == "random":
         if not 2 <= class_count <= 10:
             raise ParamError(f"random fixture supports 2..10 classes, got {class_count}")

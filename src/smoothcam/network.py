@@ -16,8 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonConvLayerError, ShapeError, SmoothCamError, UnknownLayerError
-from .tensor import (Tensor, as_tensor, conv2d, conv2d_shape, dense, dense_shape, maxpool2d,
-                     maxpool2d_shape, relu, scratch, softmax, softmax_shape)
+from .tensor import (Tensor, as_tensor, conv2d, conv2d_shape, dense, dense_shape, integer, ints,
+                     maxpool2d, maxpool2d_shape, relu, scratch, softmax, softmax_shape)
 
 
 @dataclass
@@ -62,7 +62,8 @@ def softmax_layer(name: str) -> LayerSpec:
 class Model:
     """An ordered layer pipeline with a fixed [C,H,W] input shape.
 
-    Construction freezes all weight arrays (private float64 copies, marked
+    Construction reads every integer with `tensor.integer` (stored as plain
+    ints), freezes all weight arrays (private float64 copies, marked
     read-only) and runs shape inference end to end, so an invalid topology
     fails here rather than mid-forward.
     """
@@ -72,16 +73,18 @@ class Model:
     class_count: int
 
     def __post_init__(self):
-        self.input_shape = tuple(int(d) for d in self.input_shape)
-        self.class_count = int(self.class_count)
+        self.input_shape = ints(self.input_shape, "input shape")
+        self.class_count = integer(self.class_count, "class count")
+        validate(self)  # it reads the layers' integer parameters, naming a bad one's layer
         for spec in self.layers:
+            for attr in KINDS[spec.kind].params.values():
+                setattr(spec, attr, integer(getattr(spec, attr), attr))
             for attr in ("kernels", "weights", "bias"):
                 arr = getattr(spec, attr)
                 if arr is not None:
                     frozen = np.array(arr, dtype=np.float64, order="C")
                     frozen.flags.writeable = False
                     setattr(spec, attr, frozen)
-        validate(self)
 
     def layer_index(self, name: str) -> int:
         for i, spec in enumerate(self.layers):
@@ -94,15 +97,16 @@ class Model:
 
     def conv_index(self, name: str) -> int:
         """Index of the named conv layer; both errors list the valid conv layers."""
-        valid = "valid conv layers: " + (", ".join(list_conv_layers(self)) or "(none)")
         try:
             idx = self.layer_index(name)
-        except UnknownLayerError:
-            raise UnknownLayerError(f"unknown layer: {name} ({valid})") from None
-        kind = self.layers[idx].kind
-        if kind != "conv":
-            raise NonConvLayerError(f"layer '{name}' has kind '{kind}', expected conv ({valid})")
-        return idx
+            kind = self.layers[idx].kind
+            if kind == "conv":
+                return idx
+            error = NonConvLayerError(f"layer '{name}' has kind '{kind}', expected conv")
+        except UnknownLayerError as exc:
+            error = exc
+        valid = ", ".join(list_conv_layers(self)) or "(none)"
+        raise type(error)(f"{error} (valid conv layers: {valid})")
 
 
 @dataclass
@@ -227,8 +231,10 @@ def _maxpool_forward(spec, x, gate=None, work=None):
 def _maxpool_backward(spec, grad, x, out, gate, work=None):
     dx = scratch(work, "dx", x.shape)
     dx.fill(0.0)
-    # Disjoint windows hit no source twice, so assigning is enough.
-    (np.put if spec.stride >= spec.pool_size else np.add.at)(dx.reshape(-1), gate.flat, grad)
+    if spec.stride >= spec.pool_size:  # disjoint windows hit no source twice: assign
+        dx.reshape(-1)[gate.flat] = grad
+    else:
+        np.add.at(dx.reshape(-1), gate.flat, grad)
     return dx
 
 

@@ -13,7 +13,6 @@ regardless of how callers schedule the per-sample passes.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,7 @@ from .gradients import (
     higher_order_triple,
 )
 from .network import Model, forward, validate
-from .tensor import Tensor, add_gaussian_noise, as_tensor, bilinear_resize
+from .tensor import Tensor, add_gaussian_noise, as_tensor, bilinear_resize, integer, ints
 
 METHODS = ("sensitivity", "smoothgrad", "gradcam", "gradcampp", "smooth-gradcampp")
 CAM_METHODS = ("gradcam", "gradcampp", "smooth-gradcampp")
@@ -55,13 +54,13 @@ class NeuronSelection:
         if self.region:
             if self.box is None or self.coords is not None:
                 raise ParamError("region selection requires box and forbids coords")
-            object.__setattr__(self, "box", _ints(self.box, "a region box", 4))
+            object.__setattr__(self, "box", ints(self.box, "a region box", 4))
         else:
             if self.coords is None or self.box is not None:
                 raise ParamError("coordinate selection requires coords and forbids box")
             if not isinstance(self.coords, tuple):  # () stays: criterion 7 maps it to zero
                 raise ParamError(f"coords must be a tuple of (row, col) pairs, got {self.coords!r}")
-            coords = tuple(_ints(pair, "a neuron coordinate", 2) for pair in self.coords)
+            coords = tuple(ints(pair, "a neuron coordinate", 2) for pair in self.coords)
             object.__setattr__(self, "coords", coords)
 
     def mask(self, h: int, w: int) -> np.ndarray:
@@ -104,12 +103,9 @@ class SaliencyRequest:
             raise ParamError(f"unknown method '{self.method}', expected one of {METHODS}")
         if self.activation_source not in ACTIVATION_SOURCES:
             raise ParamError(f"unknown activation source '{self.activation_source}'")
-        if self.n < 1:
-            raise ParamError(f"sample count must be >= 1, got {self.n}")
+        self.n, self.seed = integer(self.n, "sample count", 1), integer(self.seed, "seed", 0)
         if not 0.0 <= self.sigma_rel < 1.0:
             raise ParamError(f"sigma_rel must be in [0, 1), got {self.sigma_rel}")
-        if self.seed < 0:
-            raise ParamError(f"seed must be non-negative, got {self.seed}")
         if self.method in CAM_METHODS:
             if self.layer is None:
                 raise ParamError(f"method '{self.method}' requires a conv layer name")
@@ -123,7 +119,7 @@ class SaliencyRequest:
                 f"not '{self.method}'"
             )
         if self.filters is not None:
-            self.filters = _ints(self.filters, "filters")
+            self.filters = ints(self.filters, "filters")
 
 
 @dataclass
@@ -314,24 +310,10 @@ def _stacks(*arrays) -> list[np.ndarray]:
     return stacks
 
 
-def _ints(values, what: str, count: int | None = None) -> tuple[int, ...]:
-    """values as a tuple of ints, each read with operator.index and never a bool: exactly
-    `count` of them, or at least one without a count. Anything else is a ParamError."""
-    try:
-        items = tuple(values)
-        read = tuple(operator.index(v) for v in items)
-    except TypeError:
-        items = read = ()
-    wrong_count = len(read) != count if count else not read
-    if wrong_count or any(isinstance(v, bool) for v in items):
-        raise ParamError(f"{what} must be {count or 'one or more'} integers, got {values!r}")
-    return read
-
-
 def _normalize_filters(filters, k: int) -> np.ndarray:
     if filters is None:
         return np.arange(k)
-    idx = sorted(set(_ints(filters, "filters")))
+    idx = sorted(set(ints(filters, "filters")))
     for i in idx:
         if not 0 <= i < k:
             raise ParamError(f"filter index {i} out of range [0, {k})")

@@ -11,6 +11,8 @@ small enough that precision costs nothing.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
@@ -22,6 +24,30 @@ Tensor = np.ndarray
 def as_tensor(values) -> Tensor:
     """Coerce nested sequences or arrays to a C-contiguous float64 array."""
     return np.ascontiguousarray(values, dtype=np.float64)
+
+
+def integer(value, what: str, least: int | None = None) -> int:
+    """value read with operator.index, never a bool, and at least `least` if given, else
+    ParamError: the one rule for every integer a caller passes (numpy integers pass)."""
+    try:
+        read = operator.index(None if isinstance(value, bool) else value)  # None is refused
+        if least is None or read >= least:
+            return read
+    except TypeError:
+        pass
+    bound = "" if least is None else f" >= {least}"
+    raise ParamError(f"{what} must be an integer{bound}, got {value!r}")
+
+
+def ints(values, what: str, count: int | None = None) -> tuple[int, ...]:
+    """A tuple of `integer`s: exactly `count` of them, else at least one; else ParamError."""
+    try:
+        read = tuple(integer(v, what) for v in values)
+    except (TypeError, ParamError):
+        read = ()
+    if len(read) != count if count else not read:
+        raise ParamError(f"{what} must be {count or 'one or more'} integers, got {values!r}")
+    return read
 
 
 def conv2d(
@@ -57,10 +83,7 @@ def conv2d_shape(x_shape, k_shape, b_shape, stride: int, padding: int) -> tuple[
             f"conv2d expects input [C,H,W] and kernels [K,C,kh,kw], "
             f"got {x_shape} and {k_shape}"
         )
-    if stride < 1:
-        raise ParamError(f"stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise ParamError(f"padding must be >= 0, got {padding}")
+    stride, padding = integer(stride, "stride", 1), integer(padding, "padding", 0)
     cin, h, w = x_shape
     kout, kc, kh, kw = k_shape
     if kout < 1 or kh < 1 or kw < 1:
@@ -152,13 +175,10 @@ def maxpool2d(t: Tensor, size: int, stride: int, *,
 
 
 def maxpool2d_shape(x_shape, size: int, stride: int) -> tuple[int, int, int]:
-    """maxpool2d's output shape [C,Ho,Wo]; ParamError for size or stride < 1."""
+    """maxpool2d's output shape [C,Ho,Wo]; ParamError unless size and stride are integers >= 1."""
     if len(x_shape) != 3:
         raise ShapeError(f"maxpool2d expects a [C,H,W] tensor, got shape {x_shape}")
-    if size < 1:
-        raise ParamError(f"pool size must be >= 1, got {size}")
-    if stride < 1:
-        raise ParamError(f"pool stride must be >= 1, got {stride}")
+    size, stride = integer(size, "pool size", 1), integer(stride, "pool stride", 1)
     c, h, w = x_shape
     if h < size or w < size:
         raise ShapeError(f"pool window {size}x{size} exceeds input {h}x{w}")

@@ -122,6 +122,9 @@ def test_usage_error_neurons_and_region_box(tmp_path, model_files, scene_ppm):
     ["--method", "sensitivity"], ["--method", "smoothgrad"],
     ["--neurons", "1:1", "--region-box", "0:0:3:3"],
     ["make-fixture", "--kind", "random", "--seed", "-1"],
+    ["--neurons", "3"], ["--neurons", "1::2"], ["--neurons", ","], ["--region-box", "1:2:3"],
+    ["--class", "3:4"], ["--filters", "0,,1"],
+    ["make-fixture", "--kind", "random", "--classes", "1"],
 ], ids=" ".join)
 def test_usage_errors_print_one_line(tmp_path, model_files, scene_ppm, capsys, argv):
     # Explain flags come after the defaults, which hold "--layer conv1", and override them.

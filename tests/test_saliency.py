@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from smoothcam import (
     GradientTriple,
@@ -13,9 +15,11 @@ from smoothcam import (
     SaliencyRequest,
     ScoreMode,
     ShapeError,
+    SmoothCamError,
     UnknownLayerError,
     apply_selection,
     bilinear_resize,
+    build_fixture,
     cam_map,
     compute_alpha,
     conv_layer,
@@ -26,6 +30,7 @@ from smoothcam import (
     gradcam_weights,
     gradcampp_weights,
     higher_order_triple,
+    maxpool_layer,
     postprocess,
     relu_layer,
     run,
@@ -251,6 +256,62 @@ def test_selection_stores_plain_ints():
     assert NeuronSelection(box=np.array([0, 1, 2, 3]), region=True).box == (0, 1, 2, 3)
     request = SaliencyRequest(method="gradcam", layer="conv1", filters=[np.int32(2), 0])
     assert request.filters == (2, 0)
+
+
+def _net(spec, side, classes):
+    return Model(layers=[spec, flatten_layer("f")], input_shape=(1, side, side),
+                 class_count=classes)
+
+
+def _conv1x1(**params):
+    return conv_layer("c", np.ones((1, 1, 1, 1)), np.zeros(1), **params)
+
+
+# Every integer a caller passes: field -> (build with value v, what it stores of v or None).
+# Each build is valid for v = 3.
+_CALLER_INTEGERS = {
+    "class-index": (lambda v: ScoreMode("exp-logit", v), lambda r: r.class_index),
+    "samples": (lambda v: SaliencyRequest(method="smoothgrad", n=v), lambda r: r.n),
+    "seed": (lambda v: SaliencyRequest(method="smoothgrad", seed=v), lambda r: r.seed),
+    "filter": (lambda v: SaliencyRequest(method="gradcam", layer="conv1", filters=(v,)),
+               lambda r: r.filters[0]),
+    "coordinate": (lambda v: NeuronSelection(coords=((v, 0),)), lambda r: r.coords[0][0]),
+    "box": (lambda v: NeuronSelection(box=(0, 0, v, v), region=True), lambda r: r.box[2]),
+    "input-shape": (lambda v: Model(layers=[flatten_layer("f")], input_shape=(v, 1, 1),
+                                    class_count=3), lambda r: r.input_shape[0]),
+    "class-count": (lambda v: Model(layers=[flatten_layer("f")], input_shape=(3, 1, 1),
+                                    class_count=v), lambda r: r.class_count),
+    "conv-stride": (lambda v: _net(_conv1x1(stride=v), 1, 1), lambda r: r.layers[0].stride),
+    "conv-padding": (lambda v: _net(_conv1x1(padding=v), 1, 49), lambda r: r.layers[0].padding),
+    "pool-size": (lambda v: _net(maxpool_layer("p", v, 1), 3, 1), lambda r: r.layers[0].pool_size),
+    "pool-stride": (lambda v: _net(maxpool_layer("p", 1, v), 1, 1), lambda r: r.layers[0].stride),
+    "fixture-seed": (lambda v: build_fixture("random", seed=v), None),
+    "fixture-classes": (lambda v: build_fixture("random", class_count=v),
+                        lambda r: r.class_count),
+}
+
+
+@given(field=st.sampled_from(sorted(_CALLER_INTEGERS)),
+       dtype=st.sampled_from([int, np.int8, np.int32, np.int64, np.uint8, np.uint64]),
+       bad=st.floats() | st.booleans() | st.text(max_size=3))
+# Each of these used to be taken: read as an int (class 2, 1 and 3, one sample, 3 classes),
+# kept as a float shape (padding) or failing only after the clean pass (2.5 and 1.5).
+@example(field="class-index", dtype=int, bad=2.7)
+@example(field="class-index", dtype=int, bad=True)
+@example(field="class-index", dtype=int, bad="3")
+@example(field="samples", dtype=int, bad=2.5)
+@example(field="samples", dtype=int, bad=True)
+@example(field="seed", dtype=int, bad=1.5)
+@example(field="class-count", dtype=int, bad=3.9)
+@example(field="conv-padding", dtype=int, bad=3.0)
+def test_every_caller_integer_is_read_by_one_rule(field, dtype, bad):
+    # A float, bool or string fails at construction; a numpy integer is stored as an int.
+    build, stored = _CALLER_INTEGERS[field]
+    built = build(dtype(3))
+    if stored is not None:
+        assert stored(built) == 3 and type(stored(built)) is int
+    with pytest.raises(SmoothCamError):
+        build(bad)
 
 
 def test_selection_out_of_bounds():
