@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ParamError, UnsupportedError
 from .network import KINDS, ActivationTrace, Model, forward, logits_layer_index
-from .tensor import Tensor, as_tensor, integer, scratch, softmax
+from .tensor import Tensor, as_tensor, integer, softmax
 
 SCORE_MODES = ("raw-logit", "exp-logit", "probability")
 
@@ -65,27 +65,24 @@ class GradientTriple:
     d3: np.ndarray
 
 
-def grad_wrt_layer(model: Model, trace: ActivationTrace, score: ScoreMode, layer: str, *,
-                   work: dict | None = None) -> Tensor:
+def grad_wrt_layer(model: Model, trace: ActivationTrace, score: ScoreMode, layer: str) -> Tensor:
     """Gradient of the class score with respect to a conv layer's [K,h,w] output.
 
     ReLU gates and pool argmax choices are read from the trace, so the sweep
     differentiates exactly the locally linear branch the forward pass took.
     The ReLU derivative at exactly 0 is taken as 0.
     """
-    idx = model.conv_index(layer)
-    return _sweep(model, trace, score, idx, work)
+    return _sweep(model, trace, score, model.conv_index(layer))
 
 
-def grad_wrt_input(model: Model, input: Tensor, score: ScoreMode, *,
-                   work: dict | None = None) -> Tensor:
+def grad_wrt_input(model: Model, input: Tensor, score: ScoreMode) -> Tensor:
     """Gradient of the class score with respect to the input (a sensitivity map)."""
-    trace = forward(model, input, work=work)
-    return _sweep(model, trace, score, -1, work)
+    return _sweep(model, forward(model, input), score, -1)
 
 
-def higher_order_triple(g: Tensor, logit: float, mode: str | ScoreMode = "exp-logit", *,
-                        work: dict | None = None) -> GradientTriple:
+def higher_order_triple(
+    g: Tensor, logit: float, mode: str | ScoreMode = "exp-logit"
+) -> GradientTriple:
     """Derivative stacks for the chosen score, given the raw-logit gradient g.
 
     The logit s is piecewise linear in the activations, so for the exponential
@@ -100,9 +97,9 @@ def higher_order_triple(g: Tensor, logit: float, mode: str | ScoreMode = "exp-lo
     g = as_tensor(g)
     if mode_name == "raw-logit":
         return GradientTriple(g.copy(), np.zeros_like(g), np.zeros_like(g))
-    d1 = np.multiply(np.exp(float(logit)), g, out=scratch(work, "d1", g.shape))
-    d2 = np.multiply(d1, g, out=scratch(work, "d2", g.shape))
-    return GradientTriple(d1, d2, np.multiply(d2, g, out=scratch(work, "d3", g.shape)))
+    d1 = np.exp(float(logit)) * g
+    d2 = d1 * g
+    return GradientTriple(d1, d2, d2 * g)
 
 
 def finite_diff_layer_grad(
@@ -172,14 +169,11 @@ def _seed_at_logits(model: Model, trace: ActivationTrace, score: ScoreMode) -> n
     return seed
 
 
-def _sweep(model: Model, trace: ActivationTrace, score: ScoreMode, stop_index: int,
-           work: dict | None) -> np.ndarray:
+def _sweep(model: Model, trace: ActivationTrace, score: ScoreMode, stop_index: int) -> np.ndarray:
     g = _seed_at_logits(model, trace, score)
     for i in range(logits_layer_index(model), stop_index, -1):
         spec = model.layers[i]
         x = trace.per_layer[model.layers[i - 1].name] if i else trace.input
-        part = None if work is None else work.setdefault(i, {})  # forward's share for layer i
-        g = KINDS[spec.kind].backward(
-            spec, g, x, trace.per_layer[spec.name], trace.gates.get(spec.name), part
-        )
+        g = KINDS[spec.kind].backward(spec, g, x, trace.per_layer[spec.name],
+                                      trace.gates.get(spec.name))
     return g

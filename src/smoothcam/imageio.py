@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ParamError, ShapeError
-from .tensor import Tensor, as_tensor, ints
+from .tensor import Tensor, as_tensor, integer, ints
 
 _WHITESPACE = b" \t\r\n\v\f"
 
@@ -27,6 +27,7 @@ class RgbImage:
     pixels: bytes
 
     def __post_init__(self):
+        self.width, self.height = integer(self.width, "width"), integer(self.height, "height")
         if self.width < 1 or self.height < 1:
             raise ShapeError(f"image size {self.width}x{self.height} must be positive")
         if len(self.pixels) != 3 * self.width * self.height:

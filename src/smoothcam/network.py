@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NonConvLayerError, ShapeError, SmoothCamError, UnknownLayerError
 from .tensor import (Tensor, as_tensor, conv2d, conv2d_shape, dense, dense_shape, integer, ints,
-                     maxpool2d, maxpool2d_shape, relu, scratch, softmax, softmax_shape)
+                     maxpool2d, maxpool2d_shape, relu, softmax, softmax_shape)
 
 
 @dataclass
@@ -122,18 +122,16 @@ class ActivationTrace:
     gates: dict[str, object] = field(default_factory=dict)
 
 
-def forward(model: Model, input: Tensor, *, work: dict | None = None) -> ActivationTrace:
-    """Run the pipeline, recording every layer's output and the gates it chose. They are
-    fresh arrays, or with a workspace `work` live in it until its next forward or sweep."""
+def forward(model: Model, input: Tensor) -> ActivationTrace:
+    """Run the pipeline, recording every layer's output and the gates it chose."""
     x = as_tensor(input)
     if x.shape != model.input_shape:
         raise ShapeError(f"input shape {x.shape} does not match model input {model.input_shape}")
     per_layer: dict[str, np.ndarray] = {}
     gates: dict[str, object] = {}
     out = x
-    for i, spec in enumerate(model.layers):
-        part = None if work is None else work.setdefault(i, {})  # layer i's share
-        out, gate = KINDS[spec.kind].forward(spec, out, work=part)
+    for spec in model.layers:
+        out, gate = KINDS[spec.kind].forward(spec, out)
         per_layer[spec.name] = out
         if gate is not None:
             gates[spec.name] = gate
@@ -191,46 +189,43 @@ class LayerKind:
     """The rules of one layer kind, read by every pass and by the model files."""
 
     shape: Callable     # (spec, in_shape) -> out_shape; the primitive's own rule
-    forward: Callable   # (spec, x, gate=None, work=None) -> (out, gate); replays a gate frozen
-    backward: Callable  # (spec, grad, recorded_input, recorded_output, gate, work=None) -> grad
+    forward: Callable   # (spec, x, gate=None) -> (out, gate); replays a given gate frozen
+    backward: Callable  # (spec, grad, recorded_input, recorded_output, gate) -> grad
     params: dict[str, str] = field(default_factory=dict)  # manifest key -> LayerSpec attribute
     weight: str | None = None  # attribute holding the weight array; None: no weight/bias spans
 
 
-def _conv_backward(spec, grad, x, out, gate, work=None):
+def _conv_backward(spec, grad, x, out, gate):
     # One GEMM gives the gradient of every im2col row; col2im adds them back.
     k = spec.kernels
     kout, _, kh, kw = k.shape
     c, h, w = x.shape
     s, p = spec.stride, spec.padding
     hh, ww = grad.shape[1], grad.shape[2]
-    cols = np.matmul(k.reshape(kout, -1).T, grad.reshape(kout, -1),
-                     out=scratch(work, "cols", (c * kh * kw, hh * ww))).reshape(c, kh, kw, hh, ww)
-    dx = scratch(work, "dx", (c, h + 2 * p, w + 2 * p))
-    dx.fill(0.0)
+    cols = (k.reshape(kout, -1).T @ grad.reshape(kout, -1)).reshape(c, kh, kw, hh, ww)
+    dx = np.zeros((c, h + 2 * p, w + 2 * p))
     for u in range(kh):
         for v in range(kw):
             dx[:, u : u + s * hh : s, v : v + s * ww : s] += cols[:, u, v]
     return dx[:, p : p + h, p : p + w] if p else dx
 
 
-def _relu_forward(spec, x, gate=None, work=None):
+def _relu_forward(spec, x, gate=None):
     # The output doubles as the gate, so recording it costs no extra array.
     if gate is None:
-        out = relu(x, work=work)
+        out = relu(x)
         return out, out
     return x * (gate > 0), gate
 
 
-def _maxpool_forward(spec, x, gate=None, work=None):
+def _maxpool_forward(spec, x, gate=None):
     if gate is None:
-        return maxpool2d(x, spec.pool_size, spec.stride, work=work)
+        return maxpool2d(x, spec.pool_size, spec.stride)
     return np.take(x, gate.flat), gate
 
 
-def _maxpool_backward(spec, grad, x, out, gate, work=None):
-    dx = scratch(work, "dx", x.shape)
-    dx.fill(0.0)
+def _maxpool_backward(spec, grad, x, out, gate):
+    dx = np.zeros(x.shape)
     if spec.stride >= spec.pool_size:  # disjoint windows hit no source twice: assign
         dx.reshape(-1)[gate.flat] = grad
     else:
@@ -245,8 +240,8 @@ KINDS: dict[str, LayerKind] = {
     "conv": LayerKind(
         shape=lambda spec, in_shape: conv2d_shape(
             in_shape, np.shape(spec.kernels), np.shape(spec.bias), spec.stride, spec.padding),
-        forward=lambda spec, x, gate=None, work=None: (
-            conv2d(x, spec.kernels, spec.bias, spec.stride, spec.padding, work=work), None),
+        forward=lambda spec, x, gate=None: (
+            conv2d(x, spec.kernels, spec.bias, spec.stride, spec.padding), None),
         backward=_conv_backward,
         params={"stride": "stride", "padding": "padding"},
         weight="kernels",
@@ -254,9 +249,7 @@ KINDS: dict[str, LayerKind] = {
     "relu": LayerKind(
         shape=lambda spec, in_shape: in_shape,
         forward=_relu_forward,
-        backward=lambda spec, grad, x, out, gate, work=None: np.multiply(
-            grad, np.greater(x, 0.0, out=scratch(work, "open", x.shape, bool)),
-            out=scratch(work, "dx", x.shape)),
+        backward=lambda spec, grad, x, out, gate: grad * (x > 0.0),
     ),
     "maxpool": LayerKind(
         shape=lambda spec, in_shape: maxpool2d_shape(in_shape, spec.pool_size, spec.stride),
@@ -266,21 +259,20 @@ KINDS: dict[str, LayerKind] = {
     ),
     "flatten": LayerKind(
         shape=lambda spec, in_shape: (math.prod(in_shape),),
-        forward=lambda spec, x, gate=None, work=None: (x.reshape(-1), None),
-        backward=lambda spec, grad, x, out, gate, work=None: grad.reshape(x.shape),
+        forward=lambda spec, x, gate=None: (x.reshape(-1), None),
+        backward=lambda spec, grad, x, out, gate: grad.reshape(x.shape),
     ),
     "dense": LayerKind(
         shape=lambda spec, in_shape: dense_shape(
             in_shape, np.shape(spec.weights), np.shape(spec.bias)),
-        forward=lambda spec, x, gate=None, work=None: (dense(x, spec.weights, spec.bias), None),
-        backward=lambda spec, grad, x, out, gate, work=None: np.matmul(
-            spec.weights.T, grad, out=scratch(work, "dx", x.shape)),
+        forward=lambda spec, x, gate=None: (dense(x, spec.weights, spec.bias), None),
+        backward=lambda spec, grad, x, out, gate: spec.weights.T @ grad,
         weight="weights",
     ),
     "softmax": LayerKind(
         shape=lambda spec, in_shape: softmax_shape(in_shape),
-        forward=lambda spec, x, gate=None, work=None: (softmax(x), None),
+        forward=lambda spec, x, gate=None: (softmax(x), None),
         # ds_j/dz_i = s_j (delta_ij - s_i)
-        backward=lambda spec, grad, x, out, gate, work=None: out * (grad - np.dot(grad, out)),
+        backward=lambda spec, grad, x, out, gate: out * (grad - np.dot(grad, out)),
     ),
 }

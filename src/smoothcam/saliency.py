@@ -144,10 +144,10 @@ def smooth_triple(
     model.conv_index(request.layer)
     averaged = request.activation_source == "averaged"
 
-    def per_sample(sample, c, work):
-        tr = forward(model, sample, work=work)
-        g = grad_wrt_layer(model, tr, ScoreMode("raw-logit", c), request.layer, work=work)
-        triple = higher_order_triple(g, float(tr.logits[c]), request.score.mode, work=work)
+    def per_sample(sample, c):
+        tr = forward(model, sample)
+        g = grad_wrt_layer(model, tr, ScoreMode("raw-logit", c), request.layer)
+        triple = higher_order_triple(g, float(tr.logits[c]), request.score.mode)
         stacks = (triple.d1, triple.d2, triple.d3)
         return stacks + (tr.per_layer[request.layer],) if averaged else stacks
 
@@ -213,8 +213,8 @@ def smoothgrad_map(model: Model, input: Tensor, request: SaliencyRequest) -> Sal
     if request.method not in ("sensitivity", "smoothgrad"):
         raise ParamError(f"smoothgrad_map does not handle method '{request.method}'")
 
-    def per_sample(sample, c, work):
-        return (grad_wrt_input(model, sample, ScoreMode(request.score.mode, c), work=work),)
+    def per_sample(sample, c):
+        return (grad_wrt_input(model, sample, ScoreMode(request.score.mode, c)),)
 
     _, c, (avg,) = _average(model, as_tensor(input), request, per_sample)
     raw = np.abs(avg).max(axis=0)
@@ -263,26 +263,24 @@ def run(model: Model, input: Tensor, request: SaliencyRequest) -> SaliencyMap:
 
 
 def _average(model: Model, x: Tensor, request: SaliencyRequest, per_sample):
-    """Run the clean pass, resolve the class, and average per_sample(sample, class, work).
+    """Run the clean pass, resolve the class, and average per_sample(sample, class).
 
     Returns the clean trace, the class and the means of per_sample's arrays,
     summed from zero in ascending sample order. smoothgrad and smooth-gradcampp
     average n copies of x, sample s noised with sigma = sigma_rel * (max(x) -
     min(x)) drawn from (master seed, s); every other method uses x itself, once.
-    The samples share one workspace: None for one sample, else one dict.
     """
     base = forward(model, x)
     c = request.score.resolve_class(base, model.class_count)
     noised = request.method in ("smoothgrad", "smooth-gradcampp")
     n = request.n if noised else 1
-    work = {} if n > 1 else None
     sigma_abs = request.sigma_rel * (float(x.max()) - float(x.min())) if noised else None
     for s in range(n):
         sample = x
         if noised:
             rng = np.random.default_rng(np.random.SeedSequence(entropy=request.seed, spawn_key=(s,)))
-            sample = add_gaussian_noise(x, sigma_abs, rng, work=work)
-        arrays = per_sample(sample, c, work)
+            sample = add_gaussian_noise(x, sigma_abs, rng)
+        arrays = per_sample(sample, c)
         if s == 0:
             sums = [np.zeros(np.shape(a)) for a in arrays]
         for total, a in zip(sums, arrays):

@@ -1,10 +1,8 @@
 """Dense float64 array primitives shared by every layer kind.
 
-All functions here operate on plain numpy arrays in row-major (C) layout and
-never mutate their inputs, so values can be shared freely between threads.
-They return fresh arrays unless given a workspace `work`, a dict one call
-site owns: its arrays (result and temporaries) last until that site's next
-call with it. Everything is computed in 64-bit floats: the higher-order
+All functions here operate on plain numpy arrays in row-major (C) layout,
+never mutate their inputs and return fresh arrays, so values can be shared
+freely between threads. Everything is computed in 64-bit floats: the higher-order
 derivative products built downstream amplify rounding, and the models are
 small enough that precision costs nothing.
 """
@@ -56,7 +54,6 @@ def conv2d(
     bias: Tensor,
     stride: int = 1,
     padding: int = 0,
-    *, work: dict | None = None,
 ) -> Tensor:
     """Cross-correlate a [C,H,W] input with [K,C,kh,kw] kernels.
 
@@ -70,8 +67,8 @@ def conv2d(
     kout, hh, ww = conv2d_shape(x.shape, k.shape, b.shape, stride, padding)
     kh, kw = k.shape[2:]
     # im2col: one GEMM of the flattened kernels with every window's taps.
-    cols = _taps(x, kh, kw, stride, hh, ww, padding, work).reshape(-1, hh * ww)
-    out = np.matmul(k.reshape(kout, -1), cols, out=scratch(work, "out", (kout, hh * ww)))
+    cols = _taps(x, kh, kw, stride, hh, ww, padding).reshape(-1, hh * ww)
+    out = k.reshape(kout, -1) @ cols
     out += b[:, None]
     return out.reshape(kout, hh, ww)
 
@@ -103,35 +100,23 @@ def conv2d_shape(x_shape, k_shape, b_shape, stride: int, padding: int) -> tuple[
     return kout, (ph - kh) // stride + 1, (pw - kw) // stride + 1
 
 
-def scratch(work: dict | None, key: str, shape: tuple, dtype=np.float64, fresh=np.empty):
-    """fresh(shape, dtype) without a workspace, else work[key], zeroed when (re)made to fit."""
-    if work is None:
-        return fresh(shape, dtype)
-    buf = work.get(key)
-    if buf is None or buf.shape != shape or buf.dtype != dtype:
-        buf = work[key] = np.zeros(shape, dtype)
-    return buf
-
-
-def _taps(x, kh: int, kw: int, stride: int, hh: int, ww: int, pad: int, work) -> Tensor:
+def _taps(x, kh: int, kw: int, stride: int, hh: int, ww: int, pad: int) -> Tensor:
     """[C, kh*kw, hh, ww] copy of window tap (u, v) (index u*kw + v) of every window over x
     zero-padded by pad. The caller's shape rule keeps every window inside the padded input."""
     c, h, w = x.shape
-    if pad:  # the border is zero when the buffer is made and is never written
-        padded = scratch(work, "padded", (c, h + 2 * pad, w + 2 * pad), fresh=np.zeros)
+    if pad:
+        padded = np.zeros((c, h + 2 * pad, w + 2 * pad))
         padded[:, pad : pad + h, pad : pad + w] = x
         x = padded
     sc, sh, sw = x.strides
     windows = as_strided(x, (c, kh, kw, hh, ww), (sc, sh, sw, stride * sh, stride * sw),
                          writeable=False)
-    out = scratch(work, "taps", windows.shape)
-    np.copyto(out, windows)
-    return out.reshape(c, kh * kw, hh, ww)
+    return windows.copy().reshape(c, kh * kw, hh, ww)
 
 
-def relu(t: Tensor, *, work: dict | None = None) -> Tensor:
+def relu(t: Tensor) -> Tensor:
     """Elementwise max(0, x)."""
-    return np.maximum(as_tensor(t), 0.0, out=scratch(work, "out", np.shape(t)))
+    return np.maximum(as_tensor(t), 0.0)
 
 
 class PoolArgmax:
@@ -144,8 +129,7 @@ class PoolArgmax:
         return iter(np.unravel_index(self.flat, self.input_shape)[1:])
 
 
-def maxpool2d(t: Tensor, size: int, stride: int, *,
-              work: dict | None = None) -> tuple[Tensor, PoolArgmax]:
+def maxpool2d(t: Tensor, size: int, stride: int) -> tuple[Tensor, PoolArgmax]:
     """Per-window maximum over a [C,H,W] tensor.
 
     Returns the pooled tensor plus a PoolArgmax of each window's maximum, which
@@ -155,23 +139,23 @@ def maxpool2d(t: Tensor, size: int, stride: int, *,
     x = as_tensor(t)
     c, hh, ww = maxpool2d_shape(x.shape, size, stride)
     h, w = x.shape[1:]
-    taps = _taps(x, size, size, stride, hh, ww, 0, work)
+    taps = _taps(x, size, size, stride, hh, ww, 0)
     # hit[:, k]: np.argmax's pick (first maximum, else first NaN) is at tap k or before.
-    top = taps.max(axis=1, keepdims=True, out=scratch(work, "max", (c, 1, hh, ww)))
-    hit = np.equal(taps, top, out=scratch(work, "hit", taps.shape, bool))
-    hit |= np.not_equal(taps, taps, out=scratch(work, "nan", taps.shape, bool))
+    # top lives to the return: freed early, glibc trims the heap after each wide smoothgrad
+    # sample and the next one faults it back in (README, Kernels).
+    top = taps.max(axis=1, keepdims=True)
+    hit = taps == top
+    hit |= np.isnan(taps)
     for k in range(1, size * size):
         hit[:, k] |= hit[:, k - 1]
     # So the pick is tap size*size - n for n = hit.sum(); tap du*size + dv of window (i, j)
     # reads input (c, i*stride + du, j*stride + dv), du*w + dv past the window's first tap.
-    small = np.min_scalar_type(size * size)
-    n = hit.sum(axis=1, dtype=small, out=scratch(work, "count", (c, hh, ww), small))
+    n = hit.sum(axis=1, dtype=np.min_scalar_type(size * size))
     offsets = np.array([(k // size) * w + k % size for k in range(size * size, -1, -1)])
-    flat = np.take(offsets, n, out=scratch(work, "flat", n.shape, np.intp), mode="wrap")
+    flat = offsets[n]
     flat += np.arange(0, c * h * w, h * w)[:, None, None]
     flat += np.arange(0, stride * hh * w, stride * w)[:, None] + np.arange(0, stride * ww, stride)
-    pooled = np.take(x, flat, out=scratch(work, "out", n.shape), mode="wrap")
-    return pooled, PoolArgmax(flat, x.shape)
+    return np.take(x, flat), PoolArgmax(flat, x.shape)
 
 
 def maxpool2d_shape(x_shape, size: int, stride: int) -> tuple[int, int, int]:
@@ -220,8 +204,7 @@ def softmax_shape(x_shape) -> tuple[int]:
     return x_shape
 
 
-def add_gaussian_noise(t: Tensor, sigma: float, rng: np.random.Generator, *,
-                       work: dict | None = None) -> Tensor:
+def add_gaussian_noise(t: Tensor, sigma: float, rng: np.random.Generator) -> Tensor:
     """Add i.i.d. N(0, sigma^2) noise per element.
 
     sigma is an absolute standard deviation; callers working with a relative
@@ -233,9 +216,9 @@ def add_gaussian_noise(t: Tensor, sigma: float, rng: np.random.Generator, *,
     x = as_tensor(t)
     if sigma == 0:
         return x.copy()
-    noise = rng.standard_normal(out=scratch(work, "noise", x.shape))
-    np.add(np.multiply(noise, sigma, out=noise), 0.0, out=noise)  # rng.normal's 0.0 + sigma*z
-    return np.add(x, noise, out=noise)
+    noise = rng.normal(0.0, sigma, size=x.shape)
+    noise += x  # in place: x + noise as a second array also lets glibc trim the heap
+    return noise
 
 
 def bilinear_resize(values: Tensor, target_h: int, target_w: int) -> Tensor:
@@ -249,6 +232,7 @@ def bilinear_resize(values: Tensor, target_h: int, target_w: int) -> Tensor:
     src = as_tensor(values)
     if src.ndim != 2:
         raise ShapeError(f"bilinear_resize expects a 2-D map, got shape {src.shape}")
+    target_h, target_w = integer(target_h, "target height"), integer(target_w, "target width")
     if target_h < 1 or target_w < 1:
         raise ShapeError(f"target size {target_h}x{target_w} must be positive")
     h, w = src.shape

@@ -1,8 +1,22 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from smoothcam import build_fixture, detector_scene
+from smoothcam import (Model, build_fixture, conv_layer, dense_layer, detector_scene,
+                       flatten_layer, maxpool_layer, relu_layer)
+
+# When a property fails, Hypothesis imports this module, and libcst's import of it raises a
+# mypy_extensions DeprecationWarning. pyproject turns that into an error, which pytest reports
+# as an INTERNALERROR that ends the session before the remaining tests run. Importing it once
+# here confines the warning to this import; every other DeprecationWarning is still an error.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst is not installed: Hypothesis skips the patch file
+        pass
 
 # Property tests replay the same examples on every run and stay fast.
 settings.register_profile("smoothcam", derandomize=True, deadline=None, max_examples=100,
@@ -28,3 +42,21 @@ def scene_top_left():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def strided_model(rng):
+    """3 channels, two padded convs (the first of stride 2), a disjoint and an overlapping pool."""
+    layers = [
+        conv_layer("conv1", rng.standard_normal((4, 3, 3, 3)), rng.normal(0.0, 0.1, 4),
+                   stride=2, padding=1),
+        relu_layer("relu1"),
+        maxpool_layer("pool1", 2),
+        conv_layer("conv2", rng.standard_normal((5, 4, 3, 3)), rng.normal(0.0, 0.1, 5),
+                   padding=1),
+        relu_layer("relu2"),
+        maxpool_layer("pool2", 2, stride=1),
+        flatten_layer("flatten1"),
+        dense_layer("dense1", rng.standard_normal((3, 20)), rng.normal(0.0, 0.1, 3)),
+    ]
+    return Model(layers=layers, input_shape=(3, 13, 13), class_count=3)

@@ -315,3 +315,15 @@ def test_image_constructor_validates():
         RgbImage(width=2, height=2, pixels=bytes(5))
     with pytest.raises(ShapeError):
         RgbImage(width=0, height=2, pixels=b"")
+
+
+@pytest.mark.parametrize("width, height", [(2.0, 2), (2, True), ("2", 2), (None, 2)],
+                         ids=["float", "bool", "text", "none"])
+def test_image_size_must_be_integers(tmp_path, width, height):
+    # A float width was accepted and written as "P6\n2.0 2\n255", which read_ppm refuses.
+    with pytest.raises(ParamError, match="width|height"):
+        RgbImage(width=width, height=height, pixels=bytes(12))
+    img = RgbImage(width=np.int64(2), height=np.uint8(2), pixels=bytes(12))
+    assert type(img.width) is int and type(img.height) is int
+    write_ppm(img, tmp_path / "a.ppm")
+    assert read_ppm(tmp_path / "a.ppm") == img

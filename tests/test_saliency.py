@@ -654,6 +654,27 @@ def test_randomizing_weights_layer_by_layer_changes_the_map(random_model, rng):
         assert not np.allclose(maps[-1], maps[-2], atol=1e-6), name
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_cascading_randomization_moves_the_map_at_every_step(strided_model, rng, method):
+    # Cascading model randomization (Adebayo et al., arXiv 1810.03292): re-draw the
+    # weighted layers top-down, keeping the earlier re-draws. Every step must move the
+    # display; the smallest step on this model is 0.13 (smooth-gradcampp, dense1).
+    x = rng.random(strided_model.input_shape)
+    request = SaliencyRequest(method=method, layer="conv2" if method in CAM_METHODS else None,
+                              n=8, sigma_rel=0.15, seed=3)
+    redraw = np.random.default_rng(2024)
+    layers = list(strided_model.layers)
+    before = run(strided_model, x, request).display
+    for name, attr in (("dense1", "weights"), ("conv2", "kernels"), ("conv1", "kernels")):
+        i = strided_model.layer_index(name)
+        old = getattr(layers[i], attr)
+        layers[i] = replace(layers[i], **{attr: redraw.normal(0.0, old.std(), old.shape)})
+        after = run(Model(layers, strided_model.input_shape, strided_model.class_count), x,
+                    request).display
+        assert np.max(np.abs(after - before)) >= 0.05, name
+        before = after
+
+
 def test_clean_methods_ignore_sample_count_and_sigma(random_model, rng):
     # Only smoothgrad and smooth-gradcampp noise their input; every other method
     # averages over the input itself, once.

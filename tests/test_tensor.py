@@ -271,12 +271,10 @@ def test_conv2d_gather_matches_the_oracle(c, kh, kw, stride, pad, ho, wo, seed):
     h, w = _side(kh, stride, pad, ho), _side(kw, stride, pad, wo)
     rng = np.random.default_rng(seed)
     kernels, bias = rng.standard_normal((2, c, kh, kw)), rng.standard_normal(2)
-    work = {}
-    for x in (rng.standard_normal((c, h, w)), rng.standard_normal((c, h, w))):
-        want = conv2d_oracle(x, kernels, bias, stride=stride, padding=pad)
-        for got in (conv2d(x, kernels, bias, stride, pad),
-                    conv2d(x, kernels, bias, stride, pad, work=work)):
-            assert got.shape == want.shape and np.max(np.abs(got - want)) < 1e-12
+    x = rng.standard_normal((c, h, w))
+    want = conv2d_oracle(x, kernels, bias, stride=stride, padding=pad)
+    got = conv2d(x, kernels, bias, stride, pad)
+    assert got.shape == want.shape and np.max(np.abs(got - want)) < 1e-12
 
 
 @given(c=st.integers(1, 3), size=_SIDES, stride=_SIDES, extra_h=st.integers(0, 6),
@@ -284,13 +282,8 @@ def test_conv2d_gather_matches_the_oracle(c, kh, kw, stride, pad, ho, wo, seed):
 def test_maxpool2d_gather_matches_the_bruteforce(c, size, stride, extra_h, extra_w, seed):
     rng = np.random.default_rng(seed)
     shape = (c, size + extra_h, size + extra_w)
-    work = {}
     for x in (rng.integers(-2, 3, shape).astype(float), rng.standard_normal(shape)):
-        want, want_rows, want_cols = _argmax_pool_oracle(x, size, stride)
-        for pooled, (rows, cols) in (maxpool2d(x, size, stride),
-                                     maxpool2d(x, size, stride, work=work)):
-            assert pooled.tobytes() == want.tobytes()
-            assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+        _assert_matches_argmax(x, size, stride)
 
 
 def test_maxpool_window_too_large():
@@ -461,3 +454,12 @@ def test_primitives_reject_the_wrong_rank(call, message):
 def test_resize_rejects_zero_targets():
     with pytest.raises(ShapeError):
         bilinear_resize(np.zeros((2, 2)), 0, 4)
+
+
+@pytest.mark.parametrize("th, tw", [(2.5, 3), (3, 3.0), (True, 3), ("3", 3)],
+                         ids=["float", "float-width", "bool", "text"])
+def test_resize_rejects_non_integer_targets(th, tw):
+    # A 2.5 target height gave a (3, 3) map.
+    with pytest.raises(ParamError, match="target"):
+        bilinear_resize(np.ones((2, 2)), th, tw)
+    assert bilinear_resize(np.ones((2, 2)), np.int64(3), np.int32(3)).shape == (3, 3)
