@@ -80,10 +80,8 @@ def grad_wrt_input(model: Model, input: Tensor, score: ScoreMode) -> Tensor:
     return _sweep(model, forward(model, input), score, -1)
 
 
-def higher_order_triple(
-    g: Tensor, logit: float, mode: str | ScoreMode = "exp-logit"
-) -> GradientTriple:
-    """Derivative stacks for the chosen score, given the raw-logit gradient g.
+def higher_order_triple(g: Tensor, logit: float, mode: str = "exp-logit") -> GradientTriple:
+    """Derivative stacks for the score mode named `mode`, given the raw-logit gradient g.
 
     The logit s is piecewise linear in the activations, so for the exponential
     score y = exp(s) the chain rule collapses to elementwise powers:
@@ -91,11 +89,10 @@ def higher_order_triple(
     higher orders vanish. Probability scores have no such closed form here and
     are declined.
     """
-    mode_name = mode.mode if isinstance(mode, ScoreMode) else ScoreMode(mode).mode
-    if mode_name == "probability":
+    if ScoreMode(mode).mode == "probability":
         raise UnsupportedError("higher-order stacks are not supported for probability scores")
     g = as_tensor(g)
-    if mode_name == "raw-logit":
+    if mode == "raw-logit":
         return GradientTriple(g.copy(), np.zeros_like(g), np.zeros_like(g))
     d1 = np.exp(float(logit)) * g
     d2 = d1 * g
@@ -158,15 +155,11 @@ def _frozen_tail_logits(model, trace, start_index, value):
 
 def _seed_at_logits(model: Model, trace: ActivationTrace, score: ScoreMode) -> np.ndarray:
     c = score.resolve_class(trace, model.class_count)
-    logits = trace.logits
-    if score.mode == "probability":
-        p = trace.probabilities
-        seed = -p[c] * p
-        seed[c] += p[c]
+    seed = np.zeros_like(trace.logits)
+    seed[c] = np.exp(trace.logits[c]) if score.mode == "exp-logit" else 1.0
+    if score.mode != "probability":
         return seed
-    seed = np.zeros_like(logits)
-    seed[c] = 1.0 if score.mode == "raw-logit" else np.exp(logits[c])
-    return seed
+    return KINDS["softmax"].backward(None, seed, trace.logits, trace.probabilities, None)
 
 
 def _sweep(model: Model, trace: ActivationTrace, score: ScoreMode, stop_index: int) -> np.ndarray:

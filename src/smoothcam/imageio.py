@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ParamError, ShapeError
-from .tensor import Tensor, as_tensor, integer, ints
+from .errors import FormatError, NonFiniteMapError, ParamError, ShapeError
+from .tensor import Tensor, as_tensor, integer, ints, real
 
 _WHITESPACE = b" \t\r\n\v\f"
 
@@ -115,13 +115,15 @@ def overlay(base: RgbImage, heat: Tensor, blend: float = 0.5) -> RgbImage:
     out = round((1 - blend) * base + blend * colormap(heat)) per channel, so
     blend=0 returns the base exactly and blend=1 the pure heat rendering.
     """
-    if not 0.0 <= blend <= 1.0:
+    if not 0.0 <= real(blend, "blend") <= 1.0:
         raise ParamError(f"blend must be in [0, 1], got {blend}")
     hm = as_tensor(heat)
     if hm.ndim != 2 or hm.shape != (base.height, base.width):
         raise ShapeError(
             f"heat map shape {hm.shape} does not match image {base.height}x{base.width}"
         )
+    if np.isnan(hm).any():  # the byte cast would turn NaN into arbitrary bytes
+        raise NonFiniteMapError("heat map holds NaN, which has no color")
     cm = _colormap_bytes(hm)
     pixels = np.frombuffer(base.pixels, dtype=np.uint8).reshape(base.height, base.width, 3)
     mixed = np.floor((1.0 - blend) * pixels + blend * cm + 0.5).astype(np.uint8)
@@ -129,10 +131,12 @@ def overlay(base: RgbImage, heat: Tensor, blend: float = 0.5) -> RgbImage:
 
 
 def heat_image(heat: Tensor) -> RgbImage:
-    """Render a [0,1] heat map as a pure colormapped image."""
+    """Render a [0,1] heat map as a pure colormapped image; NaN raises NonFiniteMapError."""
     hm = as_tensor(heat)
     if hm.ndim != 2:
         raise ShapeError(f"heat map must be 2-D, got shape {hm.shape}")
+    if np.isnan(hm).any():
+        raise NonFiniteMapError("heat map holds NaN, which has no color")
     cm = _colormap_bytes(hm).astype(np.uint8)
     return RgbImage(width=hm.shape[1], height=hm.shape[0], pixels=cm.tobytes())
 
@@ -147,8 +151,10 @@ def write_map_csv(values: Tensor, path, header: str | None = None) -> None:
     bytes a per-value f"{v:.9f}" would.
     """
     arr = np.atleast_2d(as_tensor(values))
+    if arr.ndim > 2:
+        raise ShapeError(f"a map CSV holds a 2-D map, got shape {arr.shape}")
     lines = [] if header is None else ["# " + header]
-    if arr.ndim == 2 and arr.size and not np.signbit(arr).any() and (arr <= 1.0).all():
+    if arr.size and not np.signbit(arr).any() and (arr <= 1.0).all():
         text = "".join(line + "\n" for line in lines).encode("utf-8")
         text += _fixed_width_rows(_round_nanos(arr))
     else:

@@ -129,7 +129,7 @@ def load_model(manifest_path, weights_path) -> Model:
             if not np.isfinite(arr).all():
                 raise FormatError(f"layer '{name}': {label} values must be finite")
             try:
-                fields[attr] = arr.astype(np.float64).reshape(shape)
+                fields[attr] = arr.reshape(shape)  # Model makes the one float64 copy
             except ValueError as exc:  # an empty array with a dimension numpy cannot hold
                 raise FormatError(f"layer '{name}': bad {label}_shape {shape}: {exc}") from None
         layers.append(LayerSpec(name, kind, **fields))

@@ -135,8 +135,7 @@ def forward(model: Model, input: Tensor) -> ActivationTrace:
         per_layer[spec.name] = out
         if gate is not None:
             gates[spec.name] = gate
-    tap = logits_layer_index(model)
-    logits = per_layer[model.layers[tap].name] if tap >= 0 else x
+    logits = per_layer[model.layers[logits_layer_index(model)].name]
     return ActivationTrace(
         input=x,
         per_layer=per_layer,

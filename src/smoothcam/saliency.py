@@ -26,7 +26,7 @@ from .gradients import (
     higher_order_triple,
 )
 from .network import Model, forward, validate
-from .tensor import Tensor, add_gaussian_noise, as_tensor, bilinear_resize, integer, ints
+from .tensor import Tensor, add_gaussian_noise, as_tensor, bilinear_resize, integer, ints, real
 
 METHODS = ("sensitivity", "smoothgrad", "gradcam", "gradcampp", "smooth-gradcampp")
 CAM_METHODS = ("gradcam", "gradcampp", "smooth-gradcampp")
@@ -104,7 +104,7 @@ class SaliencyRequest:
         if self.activation_source not in ACTIVATION_SOURCES:
             raise ParamError(f"unknown activation source '{self.activation_source}'")
         self.n, self.seed = integer(self.n, "sample count", 1), integer(self.seed, "seed", 0)
-        if not 0.0 <= self.sigma_rel < 1.0:
+        if not 0.0 <= real(self.sigma_rel, "sigma_rel") < 1.0:
             raise ParamError(f"sigma_rel must be in [0, 1), got {self.sigma_rel}")
         if self.method in CAM_METHODS:
             if self.layer is None:
@@ -246,8 +246,8 @@ def run(model: Model, input: Tensor, request: SaliencyRequest) -> SaliencyMap:
 
     if request.method == "gradcam":
         g = grad_wrt_layer(model, base, ScoreMode("raw-logit", c), request.layer)
-        # Grad-CAM reads d1 only, so no higher-order stacks are formed.
-        triple, activations = GradientTriple(g, g, g), base.per_layer[request.layer]
+        triple = higher_order_triple(g, base.logits[c], "raw-logit")
+        activations = base.per_layer[request.layer]
     else:
         triple, activations = smooth_triple(model, x, request)
     if request.neurons is not None:

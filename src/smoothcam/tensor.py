@@ -37,6 +37,13 @@ def integer(value, what: str, least: int | None = None) -> int:
     raise ParamError(f"{what} must be an integer{bound}, got {value!r}")
 
 
+def real(value, what: str):
+    """value itself if it is a real number (numpy's pass) and not a bool, else ParamError."""
+    if type(value) is bool or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ParamError(f"{what} must be a real number, got {value!r}")
+    return value
+
+
 def ints(values, what: str, count: int | None = None) -> tuple[int, ...]:
     """A tuple of `integer`s: exactly `count` of them, else at least one; else ParamError."""
     try:
@@ -207,12 +214,12 @@ def softmax_shape(x_shape) -> tuple[int]:
 def add_gaussian_noise(t: Tensor, sigma: float, rng: np.random.Generator) -> Tensor:
     """Add i.i.d. N(0, sigma^2) noise per element.
 
-    sigma is an absolute standard deviation; callers working with a relative
+    sigma is a finite, absolute standard deviation; callers working with a relative
     spread convert it against the input's dynamic range first. sigma == 0 is
     the exact identity (bit-for-bit, no generator draw).
     """
-    if sigma < 0:
-        raise ParamError(f"sigma must be >= 0, got {sigma}")
+    if not 0 <= real(sigma, "sigma") < np.inf:
+        raise ParamError(f"sigma must be finite and >= 0, got {sigma}")
     x = as_tensor(t)
     if sigma == 0:
         return x.copy()
@@ -230,8 +237,8 @@ def bilinear_resize(values: Tensor, target_h: int, target_w: int) -> Tensor:
     [min(values), max(values)].
     """
     src = as_tensor(values)
-    if src.ndim != 2:
-        raise ShapeError(f"bilinear_resize expects a 2-D map, got shape {src.shape}")
+    if src.ndim != 2 or not src.size:
+        raise ShapeError(f"bilinear_resize expects a 2-D map with values, got shape {src.shape}")
     target_h, target_w = integer(target_h, "target height"), integer(target_w, "target width")
     if target_h < 1 or target_w < 1:
         raise ShapeError(f"target size {target_h}x{target_w} must be positive")

@@ -157,6 +157,28 @@ def test_input_gradient_overlapping_pool_matches_finite_differences(rng):
     assert len(set(sources)) < len(sources)  # some source wins several windows
 
 
+@pytest.mark.parametrize("mode", ["raw-logit", "exp-logit", "probability"])
+def test_sweeps_through_a_mid_network_softmax_match_finite_differences(rng, mode):
+    # A softmax that is not the last layer is the only one a sweep differentiates through.
+    # Errors are measured against the largest entry: the oracle's rounding swamps tiny ones.
+    layers = [
+        conv_layer("conv1", rng.standard_normal((2, 1, 3, 3)), rng.normal(0.0, 0.1, 2)),
+        relu_layer("relu1"),
+        flatten_layer("flatten1"),
+        softmax_layer("softmax1"),
+        dense_layer("dense1", rng.standard_normal((3, 2 * 6 * 6)), rng.normal(0.0, 0.1, 3)),
+    ]
+    model = Model(layers=layers, input_shape=(1, 8, 8), class_count=3)
+    x = rng.random((1, 8, 8))
+    trace = forward(model, x)
+    score = ScoreMode(mode, 1)
+    for g, fd in ((grad_wrt_input(model, x, score),
+                   finite_diff_input_grad(model, trace, score, h=1e-5)),
+                  (grad_wrt_layer(model, trace, score, "conv1"),
+                   finite_diff_layer_grad(model, trace, score, "conv1", h=1e-5))):
+        assert np.abs(g - fd).max() < 1e-8 * np.abs(g).max()
+
+
 @pytest.mark.parametrize("size,stride", [(2, 2), (3, 3), (2, 3), (1, 1)])
 def test_disjoint_pool_backward_equals_accumulation(rng, size, stride):
     spec = maxpool_layer("pool1", size, stride=stride)

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from smoothcam import (
     FormatError,
+    NonFiniteMapError,
     ParamError,
     RgbImage,
     ShapeError,
@@ -203,6 +204,23 @@ def test_overlay_validates_arguments(rng):
         overlay(base, np.zeros((2, 2)), blend=1.5)
 
 
+@pytest.mark.parametrize("blend", ["0.5", True], ids=["text", "bool"])
+def test_overlay_blend_must_be_a_real_number(blend):
+    # Text raised a bare TypeError; True passed as 1.
+    base = RgbImage(width=2, height=2, pixels=bytes(12))
+    with pytest.raises(ParamError, match="blend must be a real number"):
+        overlay(base, np.zeros((2, 2)), blend)
+
+
+@pytest.mark.parametrize("render", [heat_image, lambda heat: overlay(
+    RgbImage(width=2, height=1, pixels=bytes(6)), heat)], ids=["heat_image", "overlay"])
+def test_a_nan_heat_map_is_refused(render):
+    # The byte cast warned "invalid value encountered in cast" and made up bytes.
+    with pytest.raises(NonFiniteMapError, match="NaN"):
+        render(np.array([[0.5, np.nan]]))
+    assert render(np.array([[np.inf, -np.inf]])).pixels == render(np.array([[1.0, 0.0]])).pixels
+
+
 @pytest.mark.parametrize("shape", [(2, 2, 3), (4,)])
 def test_heat_image_rejects_a_map_that_is_not_2d(shape):
     with pytest.raises(ShapeError, match=re.escape(f"heat map must be 2-D, got shape {shape}")):
@@ -281,8 +299,15 @@ def test_csv_other_arrays_match_per_value_format(tmp_path_factory, values, heade
 
 
 def test_csv_accepts_one_dimensional_input(tmp_path):
-    values = np.array([0.1, 0.7])
-    assert _written(tmp_path, values) == _per_value_csv(values)
+    for values in (np.array([0.1, 0.7]), np.array(0.25)):
+        assert _written(tmp_path, values) == _per_value_csv(values)
+
+
+def test_csv_rejects_a_map_of_more_than_two_dimensions(tmp_path):
+    # This raised "TypeError: only 0-dimensional arrays can be converted ...".
+    with pytest.raises(ShapeError, match=re.escape("got shape (1, 2, 2)")):
+        write_map_csv(np.zeros((1, 2, 2)), tmp_path / "map.csv")
+    assert not (tmp_path / "map.csv").exists()
 
 
 def _nanos_oracle(values):

@@ -455,6 +455,12 @@ def test_postprocess_output_in_unit_range(rng):
     assert display.min() >= 0.0 and display.max() <= 1.0
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4)], ids=["0x0", "0x4"])
+def test_postprocess_rejects_an_empty_map(shape):
+    with pytest.raises(ShapeError, match="with values"):  # was an IndexError
+        postprocess(np.zeros(shape), 8, 8)
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
@@ -541,6 +547,15 @@ def test_request_validation():
     for method in ("sensitivity", "smoothgrad"):
         with pytest.raises(ParamError, match="a layer, filters and neuron selections"):
             SaliencyRequest(method=method, layer="conv1")
+
+
+@pytest.mark.parametrize("sigma", ["0.1", None, False], ids=["text", "none", "bool"])
+def test_sigma_rel_must_be_a_real_number(sigma):
+    # Text and None raised a bare TypeError; False passed as 0.
+    with pytest.raises(ParamError, match="sigma_rel must be a real number"):
+        SaliencyRequest(method="smoothgrad", sigma_rel=sigma)
+    request = SaliencyRequest(method="smoothgrad", sigma_rel=np.float32(0.1))
+    assert request.sigma_rel == np.float32(0.1)
 
 
 def test_smooth_triple_refuses_a_non_cam_request_before_any_pass(random_model, rng, monkeypatch):

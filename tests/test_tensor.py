@@ -383,6 +383,13 @@ def test_noise_negative_sigma():
         add_gaussian_noise(np.zeros((1, 2, 2)), -0.1, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_noise_rejects_a_sigma_that_is_not_finite(sigma):
+    # Both were accepted and gave non-finite samples.
+    with pytest.raises(ParamError, match="sigma must be finite"):
+        add_gaussian_noise(np.zeros((1, 2, 2)), sigma, np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # bilinear_resize
 # ---------------------------------------------------------------------------
@@ -445,6 +452,8 @@ def test_resize_respects_value_bounds(rng):
                  id="softmax-empty"),
     pytest.param(lambda: bilinear_resize(np.zeros((1, 2, 2)), 4, 4),
                  "bilinear_resize expects a 2-D map", id="resize"),
+    pytest.param(lambda: bilinear_resize(np.ones((0, 3)), 2, 2),  # was an IndexError
+                 "bilinear_resize expects a 2-D map with values", id="resize-empty"),
 ])
 def test_primitives_reject_the_wrong_rank(call, message):
     with pytest.raises(ShapeError, match=re.escape(message)):
