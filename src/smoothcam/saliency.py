@@ -151,9 +151,8 @@ def smooth_triple(
         stacks = (triple.d1, triple.d2, triple.d3)
         return stacks + (tr.per_layer[request.layer],) if averaged else stacks
 
-    base, _, means = _average(model, as_tensor(input), request, per_sample)
-    activations = means[3] if averaged else base.per_layer[request.layer]
-    return GradientTriple(*means[:3]), activations
+    clean, _, means = _average(model, as_tensor(input), request, per_sample)
+    return GradientTriple(*means[:3]), means[3] if averaged else clean
 
 
 def compute_alpha(avg: GradientTriple, activations: Tensor) -> Tensor:
@@ -238,9 +237,12 @@ def postprocess(raw_map: Tensor, input_h: int, input_w: int) -> np.ndarray:
 def run(model: Model, input: Tensor, request: SaliencyRequest) -> SaliencyMap:
     """Dispatch a request to its method pipeline and return the finished map."""
     check_target(model, request)
-    if request.method in ("sensitivity", "smoothgrad"):
-        return smoothgrad_map(model, input, request)
     x = as_tensor(input)
+    bad = np.count_nonzero(~np.isfinite(x))
+    if bad:
+        raise ParamError(f"input holds {bad} NaN or infinite values of {x.size}")
+    if request.method in ("sensitivity", "smoothgrad"):
+        return smoothgrad_map(model, x, request)
     base = forward(model, x)
     c = request.score.resolve_class(base, model.class_count)
 
@@ -249,6 +251,7 @@ def run(model: Model, input: Tensor, request: SaliencyRequest) -> SaliencyMap:
         triple = higher_order_triple(g, base.logits[c], "raw-logit")
         activations = base.per_layer[request.layer]
     else:
+        del base  # only the class is read, so the trace dies before the noise samples
         triple, activations = smooth_triple(model, x, request)
     if request.neurons is not None:
         activations, triple = apply_selection(activations, triple, request.neurons)
@@ -265,13 +268,16 @@ def run(model: Model, input: Tensor, request: SaliencyRequest) -> SaliencyMap:
 def _average(model: Model, x: Tensor, request: SaliencyRequest, per_sample):
     """Run the clean pass, resolve the class, and average per_sample(sample, class).
 
-    Returns the clean trace, the class and the means of per_sample's arrays,
-    summed from zero in ascending sample order. smoothgrad and smooth-gradcampp
-    average n copies of x, sample s noised with sigma = sigma_rel * (max(x) -
-    min(x)) drawn from (master seed, s); every other method uses x itself, once.
+    Returns the clean pass's target-layer activations (None without a layer), the
+    class and the means of per_sample's arrays, summed from zero in ascending sample
+    order; the clean trace dies before the first sample. smoothgrad and
+    smooth-gradcampp average n copies of x, sample s noised with sigma = sigma_rel *
+    (max(x) - min(x)) drawn from (master seed, s); every other method uses x itself, once.
     """
     base = forward(model, x)
     c = request.score.resolve_class(base, model.class_count)
+    clean = None if request.layer is None else base.per_layer[request.layer]
+    del base
     noised = request.method in ("smoothgrad", "smooth-gradcampp")
     n = request.n if noised else 1
     sigma_abs = request.sigma_rel * (float(x.max()) - float(x.min())) if noised else None
@@ -285,7 +291,7 @@ def _average(model: Model, x: Tensor, request: SaliencyRequest, per_sample):
             sums = [np.zeros(np.shape(a)) for a in arrays]
         for total, a in zip(sums, arrays):
             total += a
-    return base, c, [total / float(n) for total in sums]
+    return clean, c, [total / float(n) for total in sums]
 
 
 def check_target(model: Model, request: SaliencyRequest) -> None:

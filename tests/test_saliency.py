@@ -1,4 +1,5 @@
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -37,7 +38,7 @@ from smoothcam import (
     smooth_triple,
     smoothgrad_map,
 )
-from smoothcam import saliency
+from smoothcam import gradients, saliency
 from smoothcam.saliency import CAM_METHODS, METHODS
 
 
@@ -595,6 +596,44 @@ def test_run_rejects_a_bad_target_before_any_pass(random_model, rng, monkeypatch
     with pytest.raises(error, match=re.escape(message)):
         run(random_model, rng.random(random_model.input_shape), request)
     assert passes == []
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("method", METHODS)
+def test_run_refuses_a_non_finite_input_before_any_pass(random_model, rng, monkeypatch, method,
+                                                        value):
+    # A NaN pixel used to give an all-NaN display, or an error that named the noise sigma.
+    passes = []
+    for module in (saliency, gradients):
+        monkeypatch.setattr(module, "forward", lambda *args, **kwargs: passes.append(args))
+    x = rng.random(random_model.input_shape)
+    x[0, 3, 5] = x[0, 9, 1] = value
+    layer = {"layer": "conv1"} if method in CAM_METHODS else {}
+    with pytest.raises(ParamError, match="input holds 2 NaN or infinite values of 256"):
+        run(random_model, x, SaliencyRequest(method=method, n=3, **layer))
+    assert passes == []
+
+
+@pytest.mark.parametrize("method, passes", [
+    ("smooth-gradcampp", 5), ("gradcampp", 3), ("smoothgrad", 4), ("sensitivity", 2),
+])
+def test_no_clean_trace_outlives_its_last_read(random_model, rng, monkeypatch, method, passes):
+    # A clean pass is read only for its class and target activations, so no earlier pass's
+    # trace may be alive when a pass starts.
+    traces, alive = [], []
+
+    def tracked(model, x):
+        alive.append(sum(ref() is not None for ref in traces))
+        trace = forward(model, x)
+        traces.append(weakref.ref(trace))
+        return trace
+
+    for module in (saliency, gradients):
+        monkeypatch.setattr(module, "forward", tracked)
+    layer = {"layer": "conv1"} if method in CAM_METHODS else {}
+    run(random_model, rng.random(random_model.input_shape),
+        SaliencyRequest(method=method, n=3, **layer))
+    assert alive == [0] * passes
 
 
 _STACK = np.ones((4, 7, 7))
