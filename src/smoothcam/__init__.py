@@ -14,7 +14,6 @@ from .errors import (
     ShapeError,
     SmoothCamError,
     UnknownLayerError,
-    UnsupportedError,
 )
 from .gradients import (
     GradientTriple,

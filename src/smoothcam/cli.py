@@ -38,7 +38,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    # An overflowing class score is reported by run_cli's one error line; numpy's
+    # floating-point warnings on the way there would only add lines to stderr.
+    with np.errstate(all="ignore"):
+        sys.exit(run_cli(sys.argv[1:]))
 
 
 def run_cli(argv) -> int:
@@ -179,7 +182,7 @@ def _parse_request(args) -> tuple[SaliencyRequest, float]:
                 _read_ints(rc, "--neurons", "row:col integers") for rc in args.neurons.split(",")))
         elif args.region_box is not None:
             box = _read_ints(args.region_box, "--region-box", "top:left:bottom:right integers")
-            neurons = NeuronSelection(box=box, region=True)
+            neurons = NeuronSelection(box=box)
         request = SaliencyRequest(
             method=args.method,
             score=ScoreMode(_SCORE_FLAGS[args.score], class_index),
@@ -199,8 +202,8 @@ def _parse_request(args) -> tuple[SaliencyRequest, float]:
 def _meta_header(request: SaliencyRequest, blend: float, chosen_class: int) -> str:
     """The map CSV's `#` line, echoing parsed values: raw flag text could break the line."""
     sel = request.neurons
-    coords = "-" if sel is None or sel.region else sel.text()
-    box = sel.text() if sel is not None and sel.region else "-"
+    coords = sel.text() if sel is not None and sel.box is None else "-"
+    box = sel.text() if sel is not None and sel.box is not None else "-"
     fields = [
         ("method", request.method),
         ("class", "auto" if request.score.class_index is None else request.score.class_index),

@@ -29,9 +29,5 @@ class NonConvLayerError(SmoothCamError):
     """The named layer is not a convolution layer."""
 
 
-class UnsupportedError(SmoothCamError):
-    """The requested combination is valid syntax but not supported."""
-
-
 class NonFiniteMapError(SmoothCamError):
     """A computed map holds NaN or infinity, so it cannot be written."""

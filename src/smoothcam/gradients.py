@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParamError, UnsupportedError
+from .errors import ParamError
 from .network import KINDS, ActivationTrace, Model, forward, logits_layer_index
 from .tensor import Tensor, as_tensor, integer, softmax
 
@@ -36,9 +36,9 @@ class ScoreMode:
         if self.class_index is not None:
             object.__setattr__(self, "class_index", integer(self.class_index, "class index"))
 
-    def resolve_class(self, trace: ActivationTrace, class_count: int) -> int:
-        c = self.check_class(class_count)
-        return int(np.argmax(trace.probabilities)) if c is None else c
+    def resolve_class(self, trace: ActivationTrace) -> int:
+        c = self.check_class(trace.logits.size)
+        return int(np.argmax(softmax(trace.logits))) if c is None else c
 
     def check_class(self, class_count: int) -> int | None:
         """The fixed class index (None for auto), or ParamError outside [0, class_count)."""
@@ -87,10 +87,10 @@ def higher_order_triple(g: Tensor, logit: float, mode: str = "exp-logit") -> Gra
     score y = exp(s) the chain rule collapses to elementwise powers:
     d1 = exp(s)*g, d2 = exp(s)*g^2, d3 = exp(s)*g^3. For the raw logit the
     higher orders vanish. Probability scores have no such closed form here and
-    are declined.
+    raise ParamError.
     """
     if ScoreMode(mode).mode == "probability":
-        raise UnsupportedError("higher-order stacks are not supported for probability scores")
+        raise ParamError("higher-order stacks are not supported for probability scores")
     g = as_tensor(g)
     if mode == "raw-logit":
         return GradientTriple(g.copy(), np.zeros_like(g), np.zeros_like(g))
@@ -130,7 +130,7 @@ def finite_diff_input_grad(
 def _central_diff(model, trace, score, start_index, base, h):
     if not h > 0:
         raise ParamError(f"step h must be > 0, got {h}")
-    c = score.resolve_class(trace, model.class_count)
+    c = score.resolve_class(trace)
     probe = base.copy()
     flat = probe.reshape(-1)
     out = np.zeros(flat.size)
@@ -153,17 +153,17 @@ def _frozen_tail_logits(model, trace, start_index, value):
     return x
 
 
-def _seed_at_logits(model: Model, trace: ActivationTrace, score: ScoreMode) -> np.ndarray:
-    c = score.resolve_class(trace, model.class_count)
+def _seed_at_logits(trace: ActivationTrace, score: ScoreMode) -> np.ndarray:
+    c = score.resolve_class(trace)
     seed = np.zeros_like(trace.logits)
     seed[c] = np.exp(trace.logits[c]) if score.mode == "exp-logit" else 1.0
     if score.mode != "probability":
         return seed
-    return KINDS["softmax"].backward(None, seed, trace.logits, trace.probabilities, None)
+    return KINDS["softmax"].backward(None, seed, trace.logits, softmax(trace.logits), None)
 
 
 def _sweep(model: Model, trace: ActivationTrace, score: ScoreMode, stop_index: int) -> np.ndarray:
-    g = _seed_at_logits(model, trace, score)
+    g = _seed_at_logits(trace, score)
     for i in range(logits_layer_index(model), stop_index, -1):
         spec = model.layers[i]
         x = trace.per_layer[model.layers[i - 1].name] if i else trace.input

@@ -66,6 +66,8 @@ def load_model(manifest_path, weights_path) -> Model:
         doc = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"manifest is not valid UTF-8 JSON: {exc}") from exc
+    except RecursionError:
+        raise FormatError("manifest nests too deeply to parse") from None
     if not isinstance(doc, dict):
         raise FormatError("manifest root must be a JSON object")
     if _json_int(doc.get("format_version"), "format_version", "manifest") != FORMAT_VERSION:
@@ -207,9 +209,8 @@ def _json_int(value, field: str, where: str) -> int:
 
 def _int_list(value, field: str, where: str) -> list[int]:
     """A manifest shape: a JSON list of non-negative integers."""
-    if not isinstance(value, list):
+    if not isinstance(value, list) or any(type(d) is not int for d in value):
         raise FormatError(f"{where}: {field} must be a list of integers, got {value!r}")
-    dims = [_json_int(d, field, where) for d in value]
-    if any(d < 0 for d in dims):
+    if any(d < 0 for d in value):
         raise FormatError(f"{where}: {field} must not be negative, got {value!r}")
-    return dims
+    return value

@@ -116,9 +116,8 @@ class ActivationTrace:
     input: np.ndarray
     per_layer: dict[str, np.ndarray]
     logits: np.ndarray
-    probabilities: np.ndarray
     # The branch each gated layer took: a ReLU's output (open where positive)
-    # or a pool's PoolArgmax (unpacks to rows, cols).
+    # or a pool's flat argmax index into its raveled input.
     gates: dict[str, object] = field(default_factory=dict)
 
 
@@ -136,13 +135,7 @@ def forward(model: Model, input: Tensor) -> ActivationTrace:
         if gate is not None:
             gates[spec.name] = gate
     logits = per_layer[model.layers[logits_layer_index(model)].name]
-    return ActivationTrace(
-        input=x,
-        per_layer=per_layer,
-        logits=logits,
-        probabilities=softmax(logits),
-        gates=gates,
-    )
+    return ActivationTrace(input=x, per_layer=per_layer, logits=logits, gates=gates)
 
 
 def list_conv_layers(model: Model) -> list[str]:
@@ -220,15 +213,15 @@ def _relu_forward(spec, x, gate=None):
 def _maxpool_forward(spec, x, gate=None):
     if gate is None:
         return maxpool2d(x, spec.pool_size, spec.stride)
-    return np.take(x, gate.flat), gate
+    return np.take(x, gate), gate
 
 
 def _maxpool_backward(spec, grad, x, out, gate):
     dx = np.zeros(x.shape)
     if spec.stride >= spec.pool_size:  # disjoint windows hit no source twice: assign
-        dx.reshape(-1)[gate.flat] = grad
+        dx.reshape(-1)[gate] = grad
     else:
-        np.add.at(dx.reshape(-1), gate.flat, grad)
+        np.add.at(dx.reshape(-1), gate, grad)
     return dx
 
 

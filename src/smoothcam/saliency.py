@@ -40,33 +40,30 @@ DENOMINATOR_GUARD = 1e-12
 class NeuronSelection:
     """Spatial restriction of the attribution to chosen positions of the target layer.
 
-    Either an explicit coordinate list (region=False) or an inclusive
-    (top, left, bottom, right) box (region=True). Activations and derivative
-    stacks outside the selection are clipped to zero before any downstream
+    Exactly one of an explicit coordinate list (coords) or an inclusive
+    (top, left, bottom, right) box (box). Activations and derivative stacks
+    outside the selection are clipped to zero before any downstream
     computation, including the per-map activation totals.
     """
 
     coords: tuple[tuple[int, int], ...] | None = None
     box: tuple[int, int, int, int] | None = None
-    region: bool = False
 
     def __post_init__(self):
-        if self.region:
-            if self.box is None or self.coords is not None:
-                raise ParamError("region selection requires box and forbids coords")
+        if (self.coords is None) == (self.box is None):
+            raise ParamError("a neuron selection takes exactly one of coords and box")
+        if self.box is not None:
             object.__setattr__(self, "box", ints(self.box, "a region box", 4))
+        elif not isinstance(self.coords, tuple):  # () stays: criterion 7 maps it to zero
+            raise ParamError(f"coords must be a tuple of (row, col) pairs, got {self.coords!r}")
         else:
-            if self.coords is None or self.box is not None:
-                raise ParamError("coordinate selection requires coords and forbids box")
-            if not isinstance(self.coords, tuple):  # () stays: criterion 7 maps it to zero
-                raise ParamError(f"coords must be a tuple of (row, col) pairs, got {self.coords!r}")
             coords = tuple(ints(pair, "a neuron coordinate", 2) for pair in self.coords)
             object.__setattr__(self, "coords", coords)
 
     def mask(self, h: int, w: int) -> np.ndarray:
         """Boolean [h,w] mask of selected positions; out-of-bounds raises ParamError."""
         keep = np.zeros((h, w), dtype=bool)
-        if self.region:
+        if self.box is not None:
             top, left, bottom, right = self.box
             if not (0 <= top <= bottom < h and 0 <= left <= right < w):
                 raise ParamError(f"region box {self.box} out of bounds for {h}x{w} map")
@@ -80,7 +77,7 @@ class NeuronSelection:
 
     def text(self) -> str:
         """The selection as its flag value: "r:c,r:c" for coordinates, "t:l:b:r" for a box."""
-        entries = [self.box] if self.region else self.coords
+        entries = [self.box] if self.box is not None else self.coords
         return ",".join(":".join(str(v) for v in entry) for entry in entries)
 
 
@@ -244,7 +241,7 @@ def run(model: Model, input: Tensor, request: SaliencyRequest) -> SaliencyMap:
     if request.method in ("sensitivity", "smoothgrad"):
         return smoothgrad_map(model, x, request)
     base = forward(model, x)
-    c = request.score.resolve_class(base, model.class_count)
+    c = request.score.resolve_class(base)
 
     if request.method == "gradcam":
         g = grad_wrt_layer(model, base, ScoreMode("raw-logit", c), request.layer)
@@ -275,7 +272,7 @@ def _average(model: Model, x: Tensor, request: SaliencyRequest, per_sample):
     (max(x) - min(x)) drawn from (master seed, s); every other method uses x itself, once.
     """
     base = forward(model, x)
-    c = request.score.resolve_class(base, model.class_count)
+    c = request.score.resolve_class(base)
     clean = None if request.layer is None else base.per_layer[request.layer]
     del base
     noised = request.method in ("smoothgrad", "smooth-gradcampp")
@@ -335,6 +332,6 @@ def _meta(request: SaliencyRequest, class_index: int) -> dict:
         "sigma": request.sigma_rel,
         "activation_source": request.activation_source,
         "filters": None if request.filters is None else list(request.filters),
-        "neurons": None if sel is None else ("box=" if sel.region else "coords=") + sel.text(),
+        "neurons": None if sel is None else ("coords=" if sel.box is None else "box=") + sel.text(),
         "seed": request.seed,
     }

@@ -126,22 +126,12 @@ def relu(t: Tensor) -> Tensor:
     return np.maximum(as_tensor(t), 0.0)
 
 
-class PoolArgmax:
-    """Pool maxima as `flat` indices into the raveled [C,H,W] input; unpacks to (rows, cols)."""
-
-    def __init__(self, flat: np.ndarray, input_shape: tuple[int, int, int]):
-        self.flat, self.input_shape = flat, input_shape
-
-    def __iter__(self):
-        return iter(np.unravel_index(self.flat, self.input_shape)[1:])
-
-
-def maxpool2d(t: Tensor, size: int, stride: int) -> tuple[Tensor, PoolArgmax]:
+def maxpool2d(t: Tensor, size: int, stride: int) -> tuple[Tensor, np.ndarray]:
     """Per-window maximum over a [C,H,W] tensor.
 
-    Returns the pooled tensor plus a PoolArgmax of each window's maximum, which
-    unpacks to their (row, col) source coordinates. Ties resolve to the first
-    occurrence in row-major window order, making the gradient scatter deterministic.
+    Returns the pooled tensor plus each window's maximum as a flat index into the
+    raveled input (np.unravel_index gives its (channel, row, col)). Ties resolve to the
+    first occurrence in row-major window order, making the gradient scatter deterministic.
     """
     x = as_tensor(t)
     c, hh, ww = maxpool2d_shape(x.shape, size, stride)
@@ -162,7 +152,7 @@ def maxpool2d(t: Tensor, size: int, stride: int) -> tuple[Tensor, PoolArgmax]:
     flat = offsets[n]
     flat += np.arange(0, c * h * w, h * w)[:, None, None]
     flat += np.arange(0, stride * hh * w, stride * w)[:, None] + np.arange(0, stride * ww, stride)
-    return np.take(x, flat), PoolArgmax(flat, x.shape)
+    return np.take(x, flat), flat
 
 
 def maxpool2d_shape(x_shape, size: int, stride: int) -> tuple[int, int, int]:

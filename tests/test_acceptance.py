@@ -82,7 +82,7 @@ def test_criterion_2_gradient_oracle():
         model = build_fixture("random", seed=seed)
         x = np.random.default_rng(1000 + seed).random((1, 16, 16))
         trace = forward(model, x)
-        score = ScoreMode("raw-logit", int(np.argmax(trace.probabilities)))
+        score = ScoreMode("raw-logit", int(np.argmax(trace.logits)))
 
         g = grad_wrt_layer(model, trace, score, "conv1")
         fd = finite_diff_layer_grad(model, trace, score, "conv1", h=1e-4)
@@ -103,7 +103,7 @@ def test_criterion_3_higher_order_consistency():
     model = build_fixture("random", seed=21)
     x = np.random.default_rng(210).random((1, 16, 16))
     trace = forward(model, x)
-    c = int(np.argmax(trace.probabilities))
+    c = int(np.argmax(trace.logits))
     g = grad_wrt_layer(model, trace, ScoreMode("raw-logit", c), "conv1")
     t = higher_order_triple(g, float(trace.logits[c]), "exp-logit")
     alg = max(float(np.max(np.abs(t.d2 - t.d1 * g))),
@@ -179,7 +179,7 @@ def test_criterion_7_selection_identities():
         neurons=NeuronSelection(coords=full_coords)))
     full_box = run(model, x, SaliencyRequest(
         method="gradcampp", score=score, layer="conv1", seed=3,
-        neurons=NeuronSelection(box=(0, 0, 13, 13), region=True)))
+        neurons=NeuronSelection(box=(0, 0, 13, 13))))
     full_filters = run(model, x, SaliencyRequest(
         method="gradcampp", score=score, layer="conv1", seed=3, filters=tuple(range(4))))
     identity_err = max(

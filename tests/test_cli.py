@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import smoothcam
 from smoothcam import (Model, RgbImage, build_fixture, detector_scene, read_ppm, save_model,
                        saliency, write_ppm)
-from smoothcam.cli import run_cli
+from smoothcam.cli import main, run_cli
 
 
 @pytest.fixture
@@ -437,6 +437,41 @@ def test_list_layers_rejects_wrong_length_conv_bias(tmp_path, capsys):
     assert err.startswith("error: layer 'conv1': bias") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("method", ["sensitivity", "gradcampp", "smooth-gradcampp"])
+def test_console_script_prints_one_line_when_the_class_score_overflows(tmp_path, random_model,
+                                                                       scene_ppm, method):
+    # numpy warns several times on the way to the non-finite map; run_cli keeps those
+    # warnings (pytest turns them into errors), the console script must not print them.
+    dense = next(s for s in random_model.layers if s.kind == "dense")
+    bias = dense.bias.copy()
+    bias[9] += 3e38  # float32 still holds it; exp of the class-9 logit overflows
+    shifted = Model([replace(s, bias=bias) if s is dense else s for s in random_model.layers],
+                    random_model.input_shape, random_model.class_count)
+    manifest, weights = tmp_path / "model.json", tmp_path / "model.bin"
+    save_model(shifted, manifest, weights)
+    out = tmp_path / "out"
+    args = ["explain", "--model", str(manifest), "--weights", str(weights), "--image", scene_ppm,
+            "--method", method, "--class", "9", "--samples", "3", "--out", str(out)]
+    if method != "sensitivity":
+        args += ["--layer", "conv1"]
+    env = {**os.environ, "PYTHONPATH": str(Path(smoothcam.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", "from smoothcam.cli import main; main()", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {method} output for class 9")
+
+
+def test_console_script_lists_layers(model_files, capsys, monkeypatch):
+    manifest, weights = model_files
+    monkeypatch.setattr(sys, "argv", ["smoothcam", "list-layers", "--model", manifest,
+                                      "--weights", weights])
+    with pytest.raises(SystemExit) as done:
+        main()
+    assert done.value.code == 0
+    assert capsys.readouterr().out == "conv1\n"
+
+
 def test_zero_kernel_conv_is_a_data_error(tmp_path, scene_ppm, capsys):
     # No kernels: conv1's maps are empty and dense1 reads zero features.
     manifest, weights = _write_conv_dense(tmp_path, (np.ones((0, 1, 3, 3)), np.zeros(0)),
@@ -509,6 +544,14 @@ def test_list_layers_rejects_non_integer_manifest_fields(model_files, capsys, ca
     assert field in err
     if path[0] == "layers":
         assert f"layer '{doc['layers'][path[1]]['name']}'" in err
+
+
+def test_list_layers_rejects_a_deeply_nested_manifest(model_files, capsys):
+    manifest, weights = model_files
+    Path(manifest).write_text("[" * 200_000)  # the JSON parser gives up with RecursionError
+    assert run_cli(["list-layers", "--model", manifest, "--weights", weights]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: manifest nests too deeply to parse\n"
 
 
 def test_list_layers_rejects_non_utf8_manifest(model_files, capsys):

@@ -9,7 +9,6 @@ from smoothcam import (
     ParamError,
     ScoreMode,
     UnknownLayerError,
-    UnsupportedError,
     conv_layer,
     dense_layer,
     finite_diff_input_grad,
@@ -152,8 +151,7 @@ def test_input_gradient_overlapping_pool_matches_finite_differences(rng):
     ]
     model = Model(layers=layers, input_shape=(1, 10, 10), class_count=3)
     trace = _oracle_input_check(model, rng)
-    rows, cols = trace.gates["pool1"]
-    sources = list(zip(np.indices(rows.shape)[0].ravel(), rows.ravel(), cols.ravel()))
+    sources = trace.gates["pool1"].ravel()  # flat indices into relu1's output
     assert len(set(sources)) < len(sources)  # some source wins several windows
 
 
@@ -186,8 +184,7 @@ def test_disjoint_pool_backward_equals_accumulation(rng, size, stride):
     out, gate = KINDS["maxpool"].forward(spec, x)
     grad = rng.standard_normal(out.shape)
     want = np.zeros_like(x)
-    chan = np.broadcast_to(np.arange(3)[:, None, None], out.shape)
-    np.add.at(want, (chan, *gate), grad)
+    np.add.at(want, np.unravel_index(gate, x.shape), grad)
     assert KINDS["maxpool"].backward(spec, grad, x, out, gate).tobytes() == want.tobytes()
 
 
@@ -222,7 +219,7 @@ def test_triple_raw_logit_mode(rng):
 
 
 def test_triple_probability_mode_declined():
-    with pytest.raises(UnsupportedError):
+    with pytest.raises(ParamError):
         higher_order_triple(np.ones((1, 1, 1)), 0.0, "probability")
 
 
@@ -325,5 +322,5 @@ def test_score_mode_rejects_unknown_mode():
 
 def test_auto_class_resolves_to_argmax(random_model, rng):
     trace = forward(random_model, rng.random((1, 16, 16)))
-    c = ScoreMode("raw-logit", None).resolve_class(trace, random_model.class_count)
+    c = ScoreMode("raw-logit", None).resolve_class(trace)
     assert c == int(np.argmax(trace.logits))

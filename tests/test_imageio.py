@@ -77,6 +77,12 @@ def test_read_ppm_rejects_overlong_header_integer(tmp_path):
         read_ppm(path)
 
 
+def test_read_ppm_rejects_a_missing_header_integer(tmp_path):
+    path = _write(tmp_path / "x.ppm", b"P6 x 16 255\n")
+    with pytest.raises(FormatError, match="expected an integer in PPM header at byte offset 3"):
+        read_ppm(path)
+
+
 @pytest.mark.parametrize("payload, message", [
     (b"P6 2 1 255", "expected single whitespace after maxval at byte offset 10"),
     (b"P6 2 1 255#" + bytes(6), "expected single whitespace after maxval at byte offset 10"),

@@ -41,7 +41,8 @@ def test_roundtrip_preserves_forward_outputs(tmp_path, random_model, rng, saved_
     reloaded = forward(loaded, x)
     # Storage is float32, so only narrowing loss is allowed.
     assert np.allclose(original.logits, reloaded.logits, rtol=1e-6, atol=1e-6)
-    assert np.allclose(original.probabilities, reloaded.probabilities, rtol=1e-6, atol=1e-6)
+    assert np.allclose(original.per_layer["softmax1"], reloaded.per_layer["softmax1"],
+                       rtol=1e-6, atol=1e-6)
 
 
 def test_truncated_blob_names_byte_counts(saved_fixture):
@@ -115,6 +116,10 @@ def _break_manifest(doc, case):
         conv["weight_shape"] = [-4, 1, 3, 3]
     elif case == "root-list":
         return [doc]
+    elif case == "nested-dimension":
+        conv["weight_shape"] = [[1]]
+    elif case == "input-shape-string":
+        doc["input_shape"] = "abc"
     else:
         conv["name"] = "conv\n1"
     return doc
@@ -126,6 +131,8 @@ _BROKEN = {
     "conv-without-bias": "layer 'conv1': conv requires weight and bias spans",
     "negative-dimension": "layer 'conv1': weight_shape must not be negative",
     "root-list": "manifest root must be a JSON object",
+    "nested-dimension": "layer 'conv1': weight_shape must be a list of integers, got [[1]]",
+    "input-shape-string": "manifest: input_shape must be a list of integers, got 'abc'",
     "name-line-break": "layer 0: name 'conv\\n1' holds an unprintable character",
 }
 
@@ -239,7 +246,7 @@ def test_detector_all_black_logit_is_bias_only(detector_model):
 
 def test_detector_prefers_class_zero_on_bright_scene(detector_model, scene_top_left):
     trace = forward(detector_model, scene_top_left)
-    assert int(np.argmax(trace.probabilities)) == 0
+    assert int(np.argmax(trace.logits)) == 0
 
 
 def test_detector_scene_quadrants():

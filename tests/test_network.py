@@ -150,7 +150,7 @@ def test_forward_hand_computed_logit():
 
 def test_forward_probabilities_sum_to_one(random_model, rng):
     trace = forward(random_model, rng.random((1, 16, 16)))
-    assert abs(trace.probabilities.sum() - 1.0) < 1e-12
+    assert abs(trace.per_layer["softmax1"].sum() - 1.0) < 1e-12
 
 
 def test_forward_trace_covers_every_layer(random_model, rng):
@@ -165,7 +165,6 @@ def test_forward_is_deterministic(random_model, rng):
     for name in a.per_layer:
         assert np.array_equal(a.per_layer[name], b.per_layer[name])
     assert np.array_equal(a.logits, b.logits)
-    assert np.array_equal(a.probabilities, b.probabilities)
 
 
 def test_forward_shapes_match_validate(random_model, rng):
@@ -178,6 +177,12 @@ def test_forward_shapes_match_validate(random_model, rng):
 def test_forward_rejects_wrong_input_shape(random_model):
     with pytest.raises(ShapeError):
         forward(random_model, np.zeros((1, 8, 8)))
+
+
+def test_forward_rejects_an_input_the_layers_would_accept(random_model):
+    # 17x17 convolves to 15x15 and pools to 7x7, the 196 dense inputs a 16x16 input gives.
+    with pytest.raises(ShapeError, match=re.escape("input shape (1, 17, 17) does not match")):
+        forward(random_model, np.zeros((1, 17, 17)))
 
 
 def test_list_conv_layers_fixture(random_model):

@@ -214,12 +214,12 @@ def test_cam_map_filter_out_of_range(rng):
 
 
 def test_selection_requires_consistent_fields():
-    with pytest.raises(ParamError):
-        NeuronSelection(region=True)  # box missing
-    with pytest.raises(ParamError):
-        NeuronSelection(coords=((0, 0),), box=(0, 0, 1, 1), region=False)
-    with pytest.raises(ParamError):
-        NeuronSelection(region=False)  # coords missing
+    with pytest.raises(ParamError, match="exactly one of coords and box"):
+        NeuronSelection()  # both missing
+    with pytest.raises(ParamError, match="exactly one of coords and box"):
+        NeuronSelection(coords=((0, 0),), box=(0, 0, 1, 1))  # both given
+    with pytest.raises(ParamError, match="exactly one of coords and box"):
+        NeuronSelection(coords=(), box=(0, 0, 1, 1))  # an empty coordinate list still counts
 
 
 @pytest.mark.parametrize("build, message", [
@@ -239,9 +239,9 @@ def test_selection_requires_consistent_fields():
                  "a neuron coordinate must be 2 integers, got 1", id="coords-flat"),
     pytest.param(lambda: NeuronSelection(coords=[(1, 2)]),
                  "coords must be a tuple of (row, col) pairs, got [(1, 2)]", id="coords-list"),
-    pytest.param(lambda: NeuronSelection(box=(0, 0, 2.5, 3), region=True),
+    pytest.param(lambda: NeuronSelection(box=(0, 0, 2.5, 3)),
                  "a region box must be 4 integers, got (0, 0, 2.5, 3)", id="box-float"),
-    pytest.param(lambda: NeuronSelection(box=(0, 0, 3), region=True),
+    pytest.param(lambda: NeuronSelection(box=(0, 0, 3)),
                  "a region box must be 4 integers, got (0, 0, 3)", id="box-three"),
 ])
 def test_selection_values_must_be_integers(build, message):
@@ -254,7 +254,7 @@ def test_selection_values_must_be_integers(build, message):
 def test_selection_stores_plain_ints():
     sel = NeuronSelection(coords=((np.int64(3), 5),))
     assert sel.coords == ((3, 5),) and type(sel.coords[0][0]) is int
-    assert NeuronSelection(box=np.array([0, 1, 2, 3]), region=True).box == (0, 1, 2, 3)
+    assert NeuronSelection(box=np.array([0, 1, 2, 3])).box == (0, 1, 2, 3)
     request = SaliencyRequest(method="gradcam", layer="conv1", filters=[np.int32(2), 0])
     assert request.filters == (2, 0)
 
@@ -277,7 +277,7 @@ _CALLER_INTEGERS = {
     "filter": (lambda v: SaliencyRequest(method="gradcam", layer="conv1", filters=(v,)),
                lambda r: r.filters[0]),
     "coordinate": (lambda v: NeuronSelection(coords=((v, 0),)), lambda r: r.coords[0][0]),
-    "box": (lambda v: NeuronSelection(box=(0, 0, v, v), region=True), lambda r: r.box[2]),
+    "box": (lambda v: NeuronSelection(box=(0, 0, v, v)), lambda r: r.box[2]),
     "input-shape": (lambda v: Model(layers=[flatten_layer("f")], input_shape=(v, 1, 1),
                                     class_count=3), lambda r: r.input_shape[0]),
     "class-count": (lambda v: Model(layers=[flatten_layer("f")], input_shape=(3, 1, 1),
@@ -319,7 +319,7 @@ def test_selection_out_of_bounds():
     sel = NeuronSelection(coords=((5, 0),))
     with pytest.raises(ParamError):
         sel.mask(4, 4)
-    box = NeuronSelection(box=(0, 0, 4, 2), region=True)
+    box = NeuronSelection(box=(0, 0, 4, 2))
     with pytest.raises(ParamError):
         box.mask(4, 4)
 
@@ -333,7 +333,7 @@ def test_full_selection_is_identity(rng):
     a2, t2 = apply_selection(A, triple, NeuronSelection(coords=coords))
     assert np.array_equal(a2, A)
     assert np.array_equal(t2.d1, triple.d1)
-    a3, t3 = apply_selection(A, triple, NeuronSelection(box=(0, 0, 3, 3), region=True))
+    a3, t3 = apply_selection(A, triple, NeuronSelection(box=(0, 0, 3, 3)))
     assert np.array_equal(a3, A)
     assert np.array_equal(t3.d3, triple.d3)
 
@@ -515,14 +515,14 @@ def test_run_auto_class_is_argmax(random_model, rng):
     x = rng.random((1, 16, 16))
     trace = forward(random_model, x)
     smap = run(random_model, x, SaliencyRequest(method="gradcam", layer="conv1", seed=0))
-    assert smap.meta["class"] == int(np.argmax(trace.probabilities))
+    assert smap.meta["class"] == int(np.argmax(trace.logits))
 
 
 def test_run_gradcam_honors_neuron_selection(random_model, rng):
     x = rng.random((1, 16, 16))
     full = run(random_model, x, SaliencyRequest(
         method="gradcam", layer="conv1", seed=0,
-        neurons=NeuronSelection(box=(0, 0, 13, 13), region=True)))
+        neurons=NeuronSelection(box=(0, 0, 13, 13))))
     plain = run(random_model, x, SaliencyRequest(method="gradcam", layer="conv1", seed=0))
     assert np.array_equal(full.raw, plain.raw)
     empty = run(random_model, x, SaliencyRequest(
@@ -577,7 +577,7 @@ _BAD_TARGETS = {  # id: (request changes, error, message); only "class" applies 
     "relu-layer": ({"layer": "relu1"}, NonConvLayerError, "layer 'relu1' has kind 'relu'"),
     "neuron": ({"neurons": NeuronSelection(coords=((3, 5), (99, 99)))}, ParamError,
                "neuron coordinate (99, 99) out of bounds for 14x14 map"),
-    "region-box": ({"neurons": NeuronSelection(box=(0, 0, 99, 99), region=True)}, ParamError,
+    "region-box": ({"neurons": NeuronSelection(box=(0, 0, 99, 99))}, ParamError,
                    "region box (0, 0, 99, 99) out of bounds for 14x14 map"),
 }
 

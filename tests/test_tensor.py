@@ -186,7 +186,8 @@ def test_maxpool_constant_halves_resolution():
 
 def test_maxpool_increasing_values_pick_bottom_right():
     x = np.arange(16, dtype=float).reshape(1, 4, 4)
-    pooled, (rows, cols) = maxpool2d(x, 2, 2)
+    pooled, gate = maxpool2d(x, 2, 2)
+    rows, cols = np.unravel_index(gate, x.shape)[1:]
     assert np.array_equal(pooled, x[:, 1::2, 1::2])
     assert np.array_equal(rows[0], [[1, 1], [3, 3]])
     assert np.array_equal(cols[0], [[1, 3], [1, 3]])
@@ -201,7 +202,8 @@ def test_maxpool_matches_bruteforce(rng, size, stride):
 
 def test_maxpool_tie_breaks_to_first_rowmajor():
     x = np.zeros((1, 2, 2))
-    _, (rows, cols) = maxpool2d(x, 2, 2)
+    _, gate = maxpool2d(x, 2, 2)
+    rows, cols = np.unravel_index(gate, x.shape)[1:]
     assert rows[0, 0, 0] == 0 and cols[0, 0, 0] == 0
 
 
@@ -225,7 +227,8 @@ def _argmax_pool_oracle(x, size, stride):
 
 
 def _assert_matches_argmax(x, size, stride):
-    pooled, (rows, cols) = maxpool2d(x, size, stride)
+    pooled, gate = maxpool2d(x, size, stride)
+    rows, cols = np.unravel_index(gate, x.shape)[1:]
     want, want_rows, want_cols = _argmax_pool_oracle(x, size, stride)
     assert pooled.tobytes() == want.tobytes()  # bit-identical, NaNs and signed zeros included
     assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)

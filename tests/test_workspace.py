@@ -27,7 +27,7 @@ def test_pool_forward_and_backward_match_the_fresh_path(rng, size, stride):
         assert replay.tobytes() == out.tobytes()
         grad = rng.standard_normal(out.shape)
         want = np.zeros(x.shape)
-        rows, cols = gate
+        rows, cols = np.unravel_index(gate, x.shape)[1:]
         for ch, i, j in np.ndindex(out.shape):  # overlapping windows add up
             want[ch, rows[ch, i, j], cols[ch, i, j]] += grad[ch, i, j]
         got = KINDS["maxpool"].backward(spec, grad, x, out, gate)
