@@ -7,7 +7,6 @@ sensitivity maps, with layer, feature-map, and neuron-level selection.
 
 from .errors import (
     FormatError,
-    LengthError,
     NonConvLayerError,
     NonFiniteMapError,
     ParamError,

@@ -17,10 +17,6 @@ class FormatError(SmoothCamError):
     """A file does not conform to its expected format."""
 
 
-class LengthError(SmoothCamError):
-    """A binary payload has the wrong size."""
-
-
 class UnknownLayerError(SmoothCamError):
     """A layer name does not exist in the model."""
 
@@ -30,4 +26,4 @@ class NonConvLayerError(SmoothCamError):
 
 
 class NonFiniteMapError(SmoothCamError):
-    """A computed map holds NaN or infinity, so it cannot be written."""
+    """A computed map, or the class score it explains, holds NaN or infinity."""

@@ -109,24 +109,20 @@ def colormap(v: float) -> tuple[int, int, int]:
     return int(r), int(g), int(b)
 
 
-def overlay(base: RgbImage, heat: Tensor, blend: float = 0.5) -> RgbImage:
-    """Blend the colormapped heat map over the base image.
+def overlay(base: RgbImage, heat: RgbImage, blend: float = 0.5) -> RgbImage:
+    """Blend a rendered heat image (`heat_image`) of the same size over the base image.
 
-    out = round((1 - blend) * base + blend * colormap(heat)) per channel, so
-    blend=0 returns the base exactly and blend=1 the pure heat rendering.
+    out = round((1 - blend) * base + blend * heat) per channel, so blend=0
+    returns the base exactly and blend=1 the heat image.
     """
     if not 0.0 <= real(blend, "blend") <= 1.0:
         raise ParamError(f"blend must be in [0, 1], got {blend}")
-    hm = as_tensor(heat)
-    if hm.ndim != 2 or hm.shape != (base.height, base.width):
-        raise ShapeError(
-            f"heat map shape {hm.shape} does not match image {base.height}x{base.width}"
-        )
-    if np.isnan(hm).any():  # the byte cast would turn NaN into arbitrary bytes
-        raise NonFiniteMapError("heat map holds NaN, which has no color")
-    cm = _colormap_bytes(hm)
+    if (heat.width, heat.height) != (base.width, base.height):
+        raise ShapeError(f"heat image {heat.width}x{heat.height} does not match image "
+                         f"{base.width}x{base.height}")
     pixels = np.frombuffer(base.pixels, dtype=np.uint8).reshape(base.height, base.width, 3)
-    mixed = np.floor((1.0 - blend) * pixels + blend * cm + 0.5).astype(np.uint8)
+    cm = np.frombuffer(heat.pixels, dtype=np.uint8).reshape(pixels.shape)
+    mixed = np.floor((1.0 - blend) * pixels + float(blend) * cm + 0.5).astype(np.uint8)
     return RgbImage(width=base.width, height=base.height, pixels=mixed.tobytes())
 
 

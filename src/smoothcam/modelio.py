@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, LengthError, ParamError
+from .errors import FormatError, ParamError
 from .network import (
     KINDS,
     LayerSpec,
@@ -122,14 +122,12 @@ def load_model(manifest_path, weights_path) -> Model:
 
     blob = Path(weights_path).read_bytes()
     if len(blob) != total:
-        raise LengthError(f"weight blob is {len(blob)} bytes, expected {total}")
+        raise FormatError(f"weight blob is {len(blob)} bytes, expected {total}")
 
     layers = []
     for name, kind, fields, arrays in specs:
         for attr, (label, offset, shape) in arrays.items():
             arr = np.frombuffer(blob, dtype="<f4", count=math.prod(shape), offset=offset)
-            if not np.isfinite(arr).all():
-                raise FormatError(f"layer '{name}': {label} values must be finite")
             try:
                 fields[attr] = arr.reshape(shape)  # Model makes the one float64 copy
             except ValueError as exc:  # an empty array with a dimension numpy cannot hold

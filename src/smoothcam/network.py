@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonConvLayerError, ShapeError, SmoothCamError, UnknownLayerError
+from .errors import NonConvLayerError, ParamError, ShapeError, SmoothCamError, UnknownLayerError
 from .tensor import (Tensor, as_tensor, conv2d, conv2d_shape, dense, dense_shape, integer, ints,
                      maxpool2d, maxpool2d_shape, relu, softmax, softmax_shape)
 
@@ -64,8 +64,8 @@ class Model:
 
     Construction reads every integer with `tensor.integer` (stored as plain
     ints), freezes all weight arrays (private float64 copies, marked
-    read-only) and runs shape inference end to end, so an invalid topology
-    fails here rather than mid-forward.
+    read-only; NaN or infinity raises ParamError) and runs shape inference
+    end to end, so an invalid model fails here rather than mid-forward.
     """
 
     layers: list[LayerSpec]
@@ -83,6 +83,8 @@ class Model:
                 arr = getattr(spec, attr)
                 if arr is not None:
                     frozen = np.array(arr, dtype=np.float64, order="C")
+                    if not np.isfinite(frozen).all():
+                        raise ParamError(f"layer '{spec.name}': {attr} values must be finite")
                     frozen.flags.writeable = False
                     setattr(spec, attr, frozen)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParamError, ShapeError
+from .errors import NonFiniteMapError, ParamError, ShapeError
 from .gradients import (
     GradientTriple,
     ScoreMode,
@@ -81,9 +81,10 @@ class NeuronSelection:
         return ",".join(":".join(str(v) for v in entry) for entry in entries)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SaliencyRequest:
-    """Everything needed to reproduce one saliency computation."""
+    """Everything needed to reproduce one saliency computation; build a changed copy
+    with `dataclasses.replace`, which checks it again."""
 
     method: str
     score: ScoreMode = field(default_factory=ScoreMode)
@@ -100,7 +101,8 @@ class SaliencyRequest:
             raise ParamError(f"unknown method '{self.method}', expected one of {METHODS}")
         if self.activation_source not in ACTIVATION_SOURCES:
             raise ParamError(f"unknown activation source '{self.activation_source}'")
-        self.n, self.seed = integer(self.n, "sample count", 1), integer(self.seed, "seed", 0)
+        object.__setattr__(self, "n", integer(self.n, "sample count", 1))
+        object.__setattr__(self, "seed", integer(self.seed, "seed", 0))
         if not 0.0 <= real(self.sigma_rel, "sigma_rel") < 1.0:
             raise ParamError(f"sigma_rel must be in [0, 1), got {self.sigma_rel}")
         if self.method in CAM_METHODS:
@@ -116,7 +118,7 @@ class SaliencyRequest:
                 f"not '{self.method}'"
             )
         if self.filters is not None:
-            self.filters = ints(self.filters, "filters")
+            object.__setattr__(self, "filters", ints(self.filters, "filters"))
 
 
 @dataclass
@@ -213,9 +215,7 @@ def smoothgrad_map(model: Model, input: Tensor, request: SaliencyRequest) -> Sal
         return (grad_wrt_input(model, sample, ScoreMode(request.score.mode, c)),)
 
     _, c, (avg,) = _average(model, as_tensor(input), request, per_sample)
-    raw = np.abs(avg).max(axis=0)
-    display = postprocess(raw, model.input_shape[1], model.input_shape[2])
-    return SaliencyMap(raw=raw, display=display, meta=_meta(request, c))
+    return _finished(model, request, np.abs(avg).max(axis=0), c)
 
 
 def postprocess(raw_map: Tensor, input_h: int, input_w: int) -> np.ndarray:
@@ -257,7 +257,15 @@ def run(model: Model, input: Tensor, request: SaliencyRequest) -> SaliencyMap:
     else:
         weights = gradcampp_weights(compute_alpha(triple, activations), triple.d1)
 
-    raw = cam_map(weights, activations, request.filters)
+    return _finished(model, request, cam_map(weights, activations, request.filters), c)
+
+
+def _finished(model: Model, request: SaliencyRequest, raw: np.ndarray, c: int) -> SaliencyMap:
+    """The map with its display, unless the raw map holds NaN or infinity, which
+    normalizing could hide. Inputs and weights are finite, so the score overflowed."""
+    if not np.isfinite(raw).all():
+        raise NonFiniteMapError(
+            f"{request.method} output for class {c} is not finite: the class score overflowed")
     display = postprocess(raw, model.input_shape[1], model.input_shape[2])
     return SaliencyMap(raw=raw, display=display, meta=_meta(request, c))
 

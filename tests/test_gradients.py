@@ -218,6 +218,13 @@ def test_triple_raw_logit_mode(rng):
     assert np.all(t.d2 == 0.0) and np.all(t.d3 == 0.0)
 
 
+def test_triple_raw_logit_reads_a_nested_list_as_float64():
+    t = higher_order_triple([[[1, 2], [3, 4]]], 0.0, "raw-logit")
+    for d in (t.d1, t.d2, t.d3):
+        assert isinstance(d, np.ndarray) and d.dtype == np.float64 and d.shape == (1, 2, 2)
+    assert t.d1.tolist() == [[[1.0, 2.0], [3.0, 4.0]]]
+
+
 def test_triple_probability_mode_declined():
     with pytest.raises(ParamError):
         higher_order_triple(np.ones((1, 1, 1)), 0.0, "probability")

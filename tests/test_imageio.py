@@ -186,28 +186,35 @@ def test_overlay_blend_zero_is_base(rng):
     pixels = bytes(rng.integers(0, 256, size=12, dtype=np.uint8))
     base = RgbImage(width=2, height=2, pixels=pixels)
     heat = rng.random((2, 2))
-    assert overlay(base, heat, blend=0.0).pixels == pixels
+    assert overlay(base, heat_image(heat), blend=0.0).pixels == pixels
 
 
 def test_overlay_blend_one_is_pure_heat(rng):
     base = RgbImage(width=2, height=2, pixels=bytes(rng.integers(0, 256, size=12, dtype=np.uint8)))
     heat = rng.random((2, 2))
-    got = overlay(base, heat, blend=1.0)
+    got = overlay(base, heat_image(heat), blend=1.0)
     assert got.pixels == heat_image(heat).pixels
 
 
 def test_overlay_half_blend_on_black():
     base = RgbImage(width=1, height=1, pixels=bytes(3))
-    got = overlay(base, np.ones((1, 1)), blend=0.5)
+    got = overlay(base, heat_image(np.ones((1, 1))), blend=0.5)
     assert got.pixels == bytes([64, 0, 0])
 
 
 def test_overlay_validates_arguments(rng):
     base = RgbImage(width=2, height=2, pixels=bytes(12))
     with pytest.raises(ShapeError):
-        overlay(base, np.zeros((3, 3)))
+        overlay(base, heat_image(np.zeros((3, 3))))
     with pytest.raises(ParamError):
-        overlay(base, np.zeros((2, 2)), blend=1.5)
+        overlay(base, heat_image(np.zeros((2, 2))), blend=1.5)
+
+
+def test_overlay_refuses_a_heat_image_of_another_size():
+    # Same pixel count, transposed: only the size check can tell.
+    base = RgbImage(width=2, height=1, pixels=bytes(6))
+    with pytest.raises(ShapeError, match="heat image 1x2 does not match image 2x1"):
+        overlay(base, heat_image(np.zeros((2, 1))))
 
 
 @pytest.mark.parametrize("blend", ["0.5", True], ids=["text", "bool"])
@@ -215,11 +222,10 @@ def test_overlay_blend_must_be_a_real_number(blend):
     # Text raised a bare TypeError; True passed as 1.
     base = RgbImage(width=2, height=2, pixels=bytes(12))
     with pytest.raises(ParamError, match="blend must be a real number"):
-        overlay(base, np.zeros((2, 2)), blend)
+        overlay(base, heat_image(np.zeros((2, 2))), blend)
 
 
-@pytest.mark.parametrize("render", [heat_image, lambda heat: overlay(
-    RgbImage(width=2, height=1, pixels=bytes(6)), heat)], ids=["heat_image", "overlay"])
+@pytest.mark.parametrize("render", [heat_image], ids=["heat_image"])
 def test_a_nan_heat_map_is_refused(render):
     # The byte cast warned "invalid value encountered in cast" and made up bytes.
     with pytest.raises(NonFiniteMapError, match="NaN"):

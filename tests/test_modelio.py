@@ -5,7 +5,6 @@ import pytest
 
 from smoothcam import (
     FormatError,
-    LengthError,
     Model,
     ParamError,
     ScoreMode,
@@ -49,7 +48,7 @@ def test_truncated_blob_names_byte_counts(saved_fixture):
     manifest, weights = saved_fixture
     blob = weights.read_bytes()
     weights.write_bytes(blob[:-8])
-    with pytest.raises(LengthError) as err:
+    with pytest.raises(FormatError) as err:
         load_model(manifest, weights)
     message = str(err.value)
     assert str(len(blob)) in message
@@ -80,7 +79,7 @@ def test_non_finite_weights_rejected(saved_fixture, bad):
     blob = bytearray(weights.read_bytes())
     blob[bias["bias_offset"] : bias["bias_offset"] + 4] = np.array([bad], dtype="<f4").tobytes()
     weights.write_bytes(bytes(blob))
-    with pytest.raises(FormatError, match="layer 'conv1': bias"):
+    with pytest.raises(ParamError, match="layer 'conv1': bias"):
         load_model(manifest, weights)
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from smoothcam import (
     LayerSpec,
     Model,
+    ParamError,
     ShapeError,
     SmoothCamError,
     conv2d,
@@ -215,3 +216,19 @@ def test_model_weights_are_frozen(random_model):
     conv = random_model.layer("conv1")
     with pytest.raises(ValueError):
         conv.kernels[0, 0, 0, 0] = 99.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("layer, attr", [("conv1", "kernels"), ("dense1", "weights"),
+                                         ("dense1", "bias")])
+def test_model_refuses_non_finite_weights(rng, bad, layer, attr):
+    # A library Model took a NaN kernel, and run then returned an all-NaN display.
+    layers = [conv_layer("conv1", rng.standard_normal((2, 1, 3, 3)), np.zeros(2)),
+              flatten_layer("flatten1"), dense_layer("dense1", np.ones((2, 8)), np.zeros(2))]
+    spec = next(s for s in layers if s.name == layer)
+    arr = np.array(getattr(spec, attr), dtype=float)
+    arr.reshape(-1)[-1] = bad
+    setattr(spec, attr, arr)
+    message = f"layer '{layer}': {attr} values must be finite"
+    with pytest.raises(ParamError, match=re.escape(message)):
+        Model(layers=layers, input_shape=(1, 4, 4), class_count=2)

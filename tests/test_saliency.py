@@ -1,6 +1,6 @@
 import re
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from smoothcam import (
     Model,
     NeuronSelection,
     NonConvLayerError,
+    NonFiniteMapError,
     ParamError,
     SaliencyRequest,
     ScoreMode,
@@ -550,6 +551,19 @@ def test_request_validation():
             SaliencyRequest(method=method, layer="conv1")
 
 
+def test_request_is_frozen():
+    # Setting a field skipped every check: n = 0 crashed the averaging loop, a raw-logit
+    # score gave gradcampp an all-zero map, and smoothgrad kept a layer it ignores.
+    request = SaliencyRequest(method="gradcampp", layer="conv1")
+    for name, value in [("n", 0), ("score", ScoreMode("raw-logit")), ("layer", "conv9")]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(request, name, value)
+    with pytest.raises(ParamError, match="sample count must be an integer >= 1, got 0"):
+        replace(request, n=0)
+    with pytest.raises(ParamError, match="only apply to CAM methods"):
+        replace(SaliencyRequest(method="smoothgrad"), layer="conv1")
+
+
 @pytest.mark.parametrize("sigma", ["0.1", None, False], ids=["text", "none", "bool"])
 def test_sigma_rel_must_be_a_real_number(sigma):
     # Text and None raised a bare TypeError; False passed as 0.
@@ -612,6 +626,42 @@ def test_run_refuses_a_non_finite_input_before_any_pass(random_model, rng, monke
     with pytest.raises(ParamError, match="input holds 2 NaN or infinite values of 256"):
         run(random_model, x, SaliencyRequest(method=method, n=3, **layer))
     assert passes == []
+
+
+def _shifted(model, shift):
+    """The model with `shift` added to every logit; the softmax, and so the class, stay."""
+    layers = [replace(s, bias=s.bias + shift) if s.kind == "dense" else s for s in model.layers]
+    return Model(layers, model.input_shape, model.class_count)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns on the way to the overflow
+@pytest.mark.parametrize("method", ["sensitivity", "smoothgrad", "gradcampp", "smooth-gradcampp"])
+def test_run_refuses_a_map_that_is_not_finite(random_model, rng, method):
+    # +800 on every logit overflows exp(score): run returned an all-NaN display, no error.
+    model = _shifted(random_model, 800.0)
+    x = rng.random(model.input_shape)
+    c = int(np.argmax(forward(model, x).logits))
+    layer = {"layer": "conv1"} if method in CAM_METHODS else {}
+    message = f"{method} output for class {c} is not finite: the class score overflowed"
+    with pytest.raises(NonFiniteMapError, match=re.escape(message)):
+        run(model, x, SaliencyRequest(method=method, n=3, **layer))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_smoothgrad_map_refuses_a_map_that_is_not_finite(random_model, rng):
+    model = _shifted(random_model, 800.0)
+    with pytest.raises(NonFiniteMapError, match="smoothgrad output for class"):
+        smoothgrad_map(model, rng.random(model.input_shape),
+                       SaliencyRequest(method="smoothgrad", n=3))
+
+
+def test_gradcam_map_is_unchanged_when_the_class_score_overflows(random_model, rng):
+    # Grad-CAM weighs by the raw-logit gradient, which a shift of every logit leaves alone.
+    x = rng.random(random_model.input_shape)
+    request = SaliencyRequest(method="gradcam", layer="conv1")
+    shifted = run(_shifted(random_model, 800.0), x, request)
+    assert np.array_equal(shifted.raw, run(random_model, x, request).raw)
+    assert np.isfinite(shifted.display).all()
 
 
 @pytest.mark.parametrize("method, passes", [

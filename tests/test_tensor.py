@@ -365,6 +365,14 @@ def test_noise_sigma_zero_is_bitwise_identity(rng):
     assert out is not x  # fresh array, inputs never aliased
 
 
+def test_noise_sigma_zero_keeps_signed_zeros_and_draws_nothing():
+    x = np.array([[[-0.0, 0.25], [-1.5, 0.0]]])
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert add_gaussian_noise(x, 0.0, rng).tobytes() == x.tobytes()
+    assert rng.bit_generator.state == state
+
+
 def test_noise_same_seed_same_output(rng):
     x = rng.random((2, 8, 8))
     a = add_gaussian_noise(x, 0.3, np.random.default_rng(99))
