@@ -18,7 +18,7 @@ from .tensor import Tensor, as_tensor, integer, ints, real
 _WHITESPACE = b" \t\r\n\v\f"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RgbImage:
     """8-bit RGB pixels, row-major, 3 bytes per pixel."""
 
@@ -27,7 +27,8 @@ class RgbImage:
     pixels: bytes
 
     def __post_init__(self):
-        self.width, self.height = integer(self.width, "width"), integer(self.height, "height")
+        object.__setattr__(self, "width", integer(self.width, "width"))
+        object.__setattr__(self, "height", integer(self.height, "height"))
         if self.width < 1 or self.height < 1:
             raise ShapeError(f"image size {self.width}x{self.height} must be positive")
         if len(self.pixels) != 3 * self.width * self.height:

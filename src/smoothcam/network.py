@@ -2,15 +2,15 @@
 
 Models are ordered lists of layers with no branches; that covers the VGG-style
 nets this library targets and keeps the reverse sweep in `gradients` simple.
-A model is immutable after construction (weight arrays are frozen), so any
-number of concurrent forward passes over it is safe. Each layer kind is
-defined by its one entry in `KINDS`.
+A model is immutable after construction (a frozen value holding its own checked
+copies of the layers), so any number of concurrent forward passes over it is
+safe. Each layer kind is defined by its one entry in `KINDS`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -20,9 +20,9 @@ from .tensor import (Tensor, as_tensor, conv2d, conv2d_shape, dense, dense_shape
                      maxpool2d, maxpool2d_shape, relu, softmax, softmax_shape)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerSpec:
-    """One pipeline stage; weight arrays are frozen once a Model owns them."""
+    """One pipeline stage; a Model checks it and keeps its own read-only copy."""
 
     name: str
     kind: str
@@ -58,35 +58,37 @@ def softmax_layer(name: str) -> LayerSpec:
     return LayerSpec(name, "softmax")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Model:
     """An ordered layer pipeline with a fixed [C,H,W] input shape.
 
-    Construction reads every integer with `tensor.integer` (stored as plain
-    ints), freezes all weight arrays (private float64 copies, marked
-    read-only; NaN or infinity raises ParamError) and runs shape inference
-    end to end, so an invalid model fails here rather than mid-forward.
+    Construction reads every integer with `tensor.integer` and runs shape
+    inference end to end, so an invalid model fails here rather than
+    mid-forward. It keeps its own checked copies of the layers (plain-int
+    parameters; private, read-only float64 arrays, where NaN or infinity raises
+    ParamError) and leaves the caller's specs as they were.
     """
 
-    layers: list[LayerSpec]
+    layers: tuple[LayerSpec, ...]
     input_shape: tuple[int, int, int]
     class_count: int
 
     def __post_init__(self):
-        self.input_shape = ints(self.input_shape, "input shape")
-        self.class_count = integer(self.class_count, "class count")
+        object.__setattr__(self, "input_shape", ints(self.input_shape, "input shape"))
+        object.__setattr__(self, "class_count", integer(self.class_count, "class count"))
         validate(self)  # it reads the layers' integer parameters, naming a bad one's layer
+        owned = []
         for spec in self.layers:
-            for attr in KINDS[spec.kind].params.values():
-                setattr(spec, attr, integer(getattr(spec, attr), attr))
+            kept = {a: integer(getattr(spec, a), a) for a in KINDS[spec.kind].params.values()}
             for attr in ("kernels", "weights", "bias"):
                 arr = getattr(spec, attr)
                 if arr is not None:
-                    frozen = np.array(arr, dtype=np.float64, order="C")
-                    if not np.isfinite(frozen).all():
+                    arr = kept[attr] = np.array(arr, dtype=np.float64, order="C")
+                    if not np.isfinite(arr).all():
                         raise ParamError(f"layer '{spec.name}': {attr} values must be finite")
-                    frozen.flags.writeable = False
-                    setattr(spec, attr, frozen)
+                    arr.flags.writeable = False
+            owned.append(replace(spec, **kept))
+        object.__setattr__(self, "layers", tuple(owned))
 
     def layer_index(self, name: str) -> int:
         for i, spec in enumerate(self.layers):
@@ -111,7 +113,7 @@ class Model:
         raise type(error)(f"{error} (valid conv layers: {valid})")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ActivationTrace:
     """Every layer's forward output plus the bookkeeping reverse sweeps need."""
 
@@ -120,7 +122,7 @@ class ActivationTrace:
     logits: np.ndarray
     # The branch each gated layer took: a ReLU's output (open where positive)
     # or a pool's flat argmax index into its raveled input.
-    gates: dict[str, object] = field(default_factory=dict)
+    gates: dict[str, object]
 
 
 def forward(model: Model, input: Tensor) -> ActivationTrace:

@@ -121,7 +121,7 @@ class SaliencyRequest:
             object.__setattr__(self, "filters", ints(self.filters, "filters"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SaliencyMap:
     """A computed map: raw (nonnegative, method resolution) and normalized display."""
 
@@ -235,13 +235,9 @@ def run(model: Model, input: Tensor, request: SaliencyRequest) -> SaliencyMap:
     """Dispatch a request to its method pipeline and return the finished map."""
     check_target(model, request)
     x = as_tensor(input)
-    bad = np.count_nonzero(~np.isfinite(x))
-    if bad:
-        raise ParamError(f"input holds {bad} NaN or infinite values of {x.size}")
     if request.method in ("sensitivity", "smoothgrad"):
         return smoothgrad_map(model, x, request)
-    base = forward(model, x)
-    c = request.score.resolve_class(base)
+    base, c = _clean_pass(model, x, request)
 
     if request.method == "gradcam":
         g = grad_wrt_layer(model, base, ScoreMode("raw-logit", c), request.layer)
@@ -270,6 +266,15 @@ def _finished(model: Model, request: SaliencyRequest, raw: np.ndarray, c: int) -
     return SaliencyMap(raw=raw, display=display, meta=_meta(request, c))
 
 
+def _clean_pass(model: Model, x: np.ndarray, request: SaliencyRequest):
+    """The un-noised trace and its class, after refusing an input with NaN or infinity."""
+    bad = np.count_nonzero(~np.isfinite(x))
+    if bad:
+        raise ParamError(f"input holds {bad} NaN or infinite values of {x.size}")
+    base = forward(model, x)
+    return base, request.score.resolve_class(base)
+
+
 def _average(model: Model, x: Tensor, request: SaliencyRequest, per_sample):
     """Run the clean pass, resolve the class, and average per_sample(sample, class).
 
@@ -279,8 +284,7 @@ def _average(model: Model, x: Tensor, request: SaliencyRequest, per_sample):
     smooth-gradcampp average n copies of x, sample s noised with sigma = sigma_rel *
     (max(x) - min(x)) drawn from (master seed, s); every other method uses x itself, once.
     """
-    base = forward(model, x)
-    c = request.score.resolve_class(base)
+    base, c = _clean_pass(model, x, request)
     clean = None if request.layer is None else base.per_layer[request.layer]
     del base
     noised = request.method in ("smoothgrad", "smooth-gradcampp")

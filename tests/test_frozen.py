@@ -1,0 +1,76 @@
+"""Checked values stay checked: every dataclass in the package is frozen, and a Model
+keeps its own copies of the layers it was given."""
+
+import dataclasses
+import importlib
+import pkgutil
+import re
+from dataclasses import FrozenInstanceError, replace
+
+import numpy as np
+import pytest
+
+import smoothcam
+from smoothcam import (Model, RgbImage, ShapeError, conv_layer, dense_layer, flatten_layer,
+                       relu_layer)
+
+
+def _package_dataclasses():
+    found = {}
+    for info in pkgutil.iter_modules(smoothcam.__path__):
+        module = importlib.import_module(f"smoothcam.{info.name}")
+        for obj in vars(module).values():
+            if dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__:
+                found[obj.__qualname__] = obj
+    return found
+
+
+def test_every_dataclass_in_the_package_is_frozen():
+    found = _package_dataclasses()
+    assert {"LayerSpec", "Model", "ActivationTrace", "LayerKind", "ScoreMode", "GradientTriple",
+            "NeuronSelection", "SaliencyRequest", "SaliencyMap", "RgbImage"} <= set(found)
+    assert [name for name, cls in found.items() if not cls.__dataclass_params__.frozen] == []
+
+
+def test_a_weight_array_cannot_be_swapped_past_the_finite_check(random_model):
+    # A NaN kernel set after construction ended in a false "the class score overflowed".
+    conv = random_model.layers[0]
+    with pytest.raises(FrozenInstanceError):
+        conv.kernels = np.full(conv.kernels.shape, np.nan)
+    assert np.isfinite(random_model.layers[0].kernels).all()
+
+
+def test_a_changed_input_shape_is_checked_again(random_model):
+    # Setting the shape on the model failed mid-forward; replace checks it at construction.
+    with pytest.raises(FrozenInstanceError):
+        random_model.input_shape = (1, 8, 8)
+    with pytest.raises(ShapeError, match=re.escape("layer 'dense1': weights expect 196 inputs, "
+                                                   "got 36")):
+        replace(random_model, input_shape=(1, 8, 8))
+
+
+def test_model_layers_cannot_grow(random_model):
+    with pytest.raises(AttributeError):
+        random_model.layers.append(relu_layer("relu9"))
+    assert len(random_model.layers) == 6
+
+
+def test_image_pixels_cannot_be_swapped_past_the_size_check():
+    # A shorter buffer set after construction made overlay die with a bare numpy ValueError.
+    img = RgbImage(width=2, height=2, pixels=bytes(12))
+    with pytest.raises(FrozenInstanceError):
+        img.pixels = bytes(3)
+    assert len(img.pixels) == 12
+
+
+def test_model_leaves_the_callers_specs_alone(rng):
+    kernels = rng.standard_normal((2, 1, 3, 3)).astype(np.float32)
+    spec = conv_layer("conv1", kernels, np.zeros(2))
+    model = Model([spec, flatten_layer("flatten1"), dense_layer("dense1", np.ones((2, 8)),
+                                                                np.zeros(2))],
+                  input_shape=(1, 4, 4), class_count=2)
+    assert spec.kernels is kernels and kernels.dtype == np.float32
+    assert kernels.flags.writeable
+    owned = model.layers[0].kernels
+    assert owned.dtype == np.float64 and not owned.flags.writeable
+    assert np.array_equal(owned, kernels)

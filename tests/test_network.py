@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -225,10 +226,10 @@ def test_model_refuses_non_finite_weights(rng, bad, layer, attr):
     # A library Model took a NaN kernel, and run then returned an all-NaN display.
     layers = [conv_layer("conv1", rng.standard_normal((2, 1, 3, 3)), np.zeros(2)),
               flatten_layer("flatten1"), dense_layer("dense1", np.ones((2, 8)), np.zeros(2))]
-    spec = next(s for s in layers if s.name == layer)
-    arr = np.array(getattr(spec, attr), dtype=float)
+    i = next(i for i, s in enumerate(layers) if s.name == layer)
+    arr = np.array(getattr(layers[i], attr), dtype=float)
     arr.reshape(-1)[-1] = bad
-    setattr(spec, attr, arr)
+    layers[i] = replace(layers[i], **{attr: arr})
     message = f"layer '{layer}': {attr} values must be finite"
     with pytest.raises(ParamError, match=re.escape(message)):
         Model(layers=layers, input_shape=(1, 4, 4), class_count=2)

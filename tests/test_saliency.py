@@ -628,6 +628,25 @@ def test_run_refuses_a_non_finite_input_before_any_pass(random_model, rng, monke
     assert passes == []
 
 
+@pytest.mark.parametrize("entry, method", [(smoothgrad_map, "sensitivity"),
+                                           (smoothgrad_map, "smoothgrad"),
+                                           (smooth_triple, "gradcampp"),
+                                           (smooth_triple, "smooth-gradcampp")])
+def test_public_entry_points_refuse_a_non_finite_input_before_any_pass(random_model, rng,
+                                                                       monkeypatch, entry, method):
+    # Only run checked the input: a NaN pixel gave a sigma error nobody set, a false
+    # "class score overflowed", or NaN stacks from smooth_triple without any error.
+    passes = []
+    for module in (saliency, gradients):
+        monkeypatch.setattr(module, "forward", lambda *args, **kwargs: passes.append(args))
+    x = rng.random(random_model.input_shape)
+    x[0, 4, 4] = np.nan
+    layer = {"layer": "conv1"} if method in CAM_METHODS else {}
+    with pytest.raises(ParamError, match="input holds 1 NaN or infinite values of 256"):
+        entry(random_model, x, SaliencyRequest(method=method, n=3, **layer))
+    assert passes == []
+
+
 def _shifted(model, shift):
     """The model with `shift` added to every logit; the softmax, and so the class, stay."""
     layers = [replace(s, bias=s.bias + shift) if s.kind == "dense" else s for s in model.layers]
