@@ -77,18 +77,19 @@ def _build_parser() -> _Parser:
     ex.add_argument("--class", dest="class_spec", default="auto",
                     help="class index, or 'auto' for the argmax class")
     ex.add_argument("--layer", default=None, help="conv layer to visualize (CAM methods)")
-    ex.add_argument("--samples", type=int, default=25, help="noise sample count n")
-    ex.add_argument("--sigma", type=float, default=0.15,
+    # --samples, --sigma, --activation-source and --seed default to SaliencyRequest's values.
+    ex.add_argument("--samples", type=int, help="noise sample count n")
+    ex.add_argument("--sigma", type=float,
                     help="noise std as a fraction of the input dynamic range")
     ex.add_argument("--filters", default=None, help="feature map indices, e.g. 0,2,5")
     picks = ex.add_mutually_exclusive_group()
     picks.add_argument("--neurons", default=None, help="neuron coordinates, e.g. 3:5,5:5")
     picks.add_argument("--region-box", dest="region_box", default=None,
                        help="inclusive neuron region top:left:bottom:right")
-    ex.add_argument("--activation-source", dest="activation_source", default="original",
+    ex.add_argument("--activation-source", dest="activation_source",
                     choices=saliency.ACTIVATION_SOURCES)
     ex.add_argument("--score", default="exp", choices=sorted(_SCORE_FLAGS))
-    ex.add_argument("--seed", type=int, default=0, help="master seed (non-negative)")
+    ex.add_argument("--seed", type=int, help="master seed (non-negative)")
     ex.add_argument("--blend", type=float, default=0.5, help="overlay blend in [0,1]")
     ex.add_argument("--out", required=True, help="output directory")
 
@@ -182,16 +183,15 @@ def _parse_request(args) -> tuple[SaliencyRequest, float]:
         elif args.region_box is not None:
             box = _read_ints(args.region_box, "--region-box", "top:left:bottom:right integers")
             neurons = NeuronSelection(box=box)
+        given = {"n": args.samples, "sigma_rel": args.sigma, "seed": args.seed,
+                 "activation_source": args.activation_source}
         request = SaliencyRequest(
             method=args.method,
             score=ScoreMode(_SCORE_FLAGS[args.score], class_index),
             layer=args.layer,
-            n=args.samples,
-            sigma_rel=args.sigma,
             filters=filters,
             neurons=neurons,
-            activation_source=args.activation_source,
-            seed=args.seed,
+            **{key: value for key, value in given.items() if value is not None},
         )
     except ParamError as exc:
         raise _UsageError(str(exc)) from None

@@ -40,12 +40,10 @@ def save_model(model: Model, manifest_path, weights_path) -> None:
     blob = bytearray()
     for spec in model.layers:
         rules = KINDS[spec.kind]
-        params = {key: getattr(spec, attr) for key, attr in rules.params.items()}
+        params = {key: getattr(spec, key) for key in rules.params}
         entry = {"name": spec.name, "kind": spec.kind, "params": params}
-        main = getattr(spec, rules.weight) if rules.weight else None
-        for label, arr in (("weight", main), ("bias", spec.bias)):
-            if arr is None:
-                continue
+        for label in rules.arrays:
+            arr = getattr(spec, label)
             entry[f"{label}_offset"] = len(blob)
             entry[f"{label}_shape"] = list(arr.shape)
             blob += np.ascontiguousarray(arr, dtype="<f4").tobytes()
@@ -79,7 +77,7 @@ def load_model(manifest_path, weights_path) -> Model:
         raise FormatError("manifest field 'layers' must be a list of layer objects")
 
     total = 0
-    specs = []  # (name, kind, integer fields, {array attribute: (label, offset, shape)})
+    specs = []  # (name, kind, integer fields, {array field: shape}), spans in blob order
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise FormatError(f"layer {i}: entry must be a JSON object, got {entry!r}")
@@ -94,13 +92,13 @@ def load_model(manifest_path, weights_path) -> Model:
         rules = KINDS[kind]
         where = f"layer '{name}'"
         arrays = {}
-        for label, attr in (("weight", rules.weight), ("bias", "bias")):
+        for label in ("weight", "bias"):
             has_offset = f"{label}_offset" in entry
             if has_offset != (f"{label}_shape" in entry):
                 raise FormatError(f"{where}: {label} offset/shape must appear together")
             if not has_offset:
                 continue
-            if rules.weight is None:
+            if label not in rules.arrays:
                 raise FormatError(f"{where}: kind '{kind}' carries no weights")
             offset = _json_int(entry[f"{label}_offset"], f"{label}_offset", where)
             shape = _int_list(entry[f"{label}_shape"], f"{label}_shape", where)
@@ -110,26 +108,26 @@ def load_model(manifest_path, weights_path) -> Model:
                     f"(expected {total})"
                 )
             total += math.prod(shape) * _ITEM_BYTES
-            arrays[attr] = (label, offset, shape)
-        if rules.weight is not None and len(arrays) != 2:
+            arrays[label] = shape
+        if len(arrays) != len(rules.arrays):
             raise FormatError(f"{where}: {kind} requires weight and bias spans")
         params = entry.get("params", {})
         if not isinstance(params, dict):
             raise FormatError(f"{where}: params must be a JSON object, got {params!r}")
-        fields = {attr: _json_int(params.get(key), f"param '{key}'", where)
-                  for key, attr in rules.params.items()}
+        fields = {key: _json_int(params.get(key), f"param '{key}'", where) for key in rules.params}
         specs.append((name, kind, fields, arrays))
 
     blob = Path(weights_path).read_bytes()
     if len(blob) != total:
         raise FormatError(f"weight blob is {len(blob)} bytes, expected {total}")
 
-    layers = []
+    layers, offset = [], 0
     for name, kind, fields, arrays in specs:
-        for attr, (label, offset, shape) in arrays.items():
+        for label, shape in arrays.items():
             arr = np.frombuffer(blob, dtype="<f4", count=math.prod(shape), offset=offset)
+            offset += arr.nbytes
             try:
-                fields[attr] = arr.reshape(shape)  # Model makes the one float64 copy
+                fields[label] = arr.reshape(shape)  # Model makes the one float64 copy
             except ValueError as exc:  # an empty array with a dimension numpy cannot hold
                 raise FormatError(f"layer '{name}': bad {label}_shape {shape}: {exc}") from None
         layers.append(LayerSpec(name, kind, **fields))

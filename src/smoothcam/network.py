@@ -4,13 +4,15 @@ Models are ordered lists of layers with no branches; that covers the VGG-style
 nets this library targets and keeps the reverse sweep in `gradients` simple.
 A model is immutable after construction (a frozen value holding its own checked
 copies of the layers), so any number of concurrent forward passes over it is
-safe. Each layer kind is defined by its one entry in `KINDS`.
+safe. Each layer kind is defined by its one entry in `KINDS`, which names the
+`LayerSpec` fields the kind takes; those names are the model file's too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -22,20 +24,20 @@ from .tensor import (Tensor, as_tensor, conv2d, conv2d_shape, dense, dense_shape
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One pipeline stage; a Model checks it and keeps its own read-only copy."""
+    """One pipeline stage, its fields named as in the manifest. A field its kind does not
+    take stays None; the helpers hold the defaults. A Model checks it and keeps a copy."""
 
     name: str
     kind: str
-    kernels: np.ndarray | None = None  # conv: [K, C, kh, kw]
-    weights: np.ndarray | None = None  # dense: [M, N]
-    bias: np.ndarray | None = None     # conv: [K], dense: [M]
-    stride: int = 1                    # conv, maxpool
-    padding: int = 0                   # conv
-    pool_size: int = 2                 # maxpool
+    weight: np.ndarray | None = None  # conv: [K, C, kh, kw], dense: [M, N]
+    bias: np.ndarray | None = None    # conv: [K], dense: [M]
+    stride: int | None = None         # conv, maxpool
+    padding: int | None = None        # conv
+    size: int | None = None           # maxpool
 
 
 def conv_layer(name: str, kernels, bias, stride: int = 1, padding: int = 0) -> LayerSpec:
-    return LayerSpec(name, "conv", kernels=kernels, bias=bias, stride=stride, padding=padding)
+    return LayerSpec(name, "conv", weight=kernels, bias=bias, stride=stride, padding=padding)
 
 
 def relu_layer(name: str) -> LayerSpec:
@@ -43,7 +45,7 @@ def relu_layer(name: str) -> LayerSpec:
 
 
 def maxpool_layer(name: str, size: int, stride: int | None = None) -> LayerSpec:
-    return LayerSpec(name, "maxpool", pool_size=size, stride=size if stride is None else stride)
+    return LayerSpec(name, "maxpool", size=size, stride=size if stride is None else stride)
 
 
 def flatten_layer(name: str) -> LayerSpec:
@@ -51,7 +53,7 @@ def flatten_layer(name: str) -> LayerSpec:
 
 
 def dense_layer(name: str, weights, bias) -> LayerSpec:
-    return LayerSpec(name, "dense", weights=weights, bias=bias)
+    return LayerSpec(name, "dense", weight=weights, bias=bias)
 
 
 def softmax_layer(name: str) -> LayerSpec:
@@ -79,14 +81,12 @@ class Model:
         validate(self)  # it reads the layers' integer parameters, naming a bad one's layer
         owned = []
         for spec in self.layers:
-            kept = {a: integer(getattr(spec, a), a) for a in KINDS[spec.kind].params.values()}
-            for attr in ("kernels", "weights", "bias"):
-                arr = getattr(spec, attr)
-                if arr is not None:
-                    arr = kept[attr] = np.array(arr, dtype=np.float64, order="C")
-                    if not np.isfinite(arr).all():
-                        raise ParamError(f"layer '{spec.name}': {attr} values must be finite")
-                    arr.flags.writeable = False
+            kept = {a: integer(getattr(spec, a), a) for a in KINDS[spec.kind].params}
+            for attr in KINDS[spec.kind].arrays:  # validate has seen each one's shape
+                arr = kept[attr] = np.array(getattr(spec, attr), dtype=np.float64, order="C")
+                if not np.isfinite(arr).all():
+                    raise ParamError(f"layer '{spec.name}': {attr} values must be finite")
+                arr.flags.writeable = False
             owned.append(replace(spec, **kept))
         object.__setattr__(self, "layers", tuple(owned))
 
@@ -115,14 +115,14 @@ class Model:
 
 @dataclass(frozen=True)
 class ActivationTrace:
-    """Every layer's forward output plus the bookkeeping reverse sweeps need."""
+    """Every layer's forward output plus the bookkeeping reverse sweeps need, all read-only."""
 
     input: np.ndarray
-    per_layer: dict[str, np.ndarray]
+    per_layer: MappingProxyType[str, np.ndarray]
     logits: np.ndarray
     # The branch each gated layer took: a ReLU's output (open where positive)
     # or a pool's flat argmax index into its raveled input.
-    gates: dict[str, object]
+    gates: MappingProxyType[str, np.ndarray]
 
 
 def forward(model: Model, input: Tensor) -> ActivationTrace:
@@ -130,16 +130,17 @@ def forward(model: Model, input: Tensor) -> ActivationTrace:
     x = as_tensor(input)
     if x.shape != model.input_shape:
         raise ShapeError(f"input shape {x.shape} does not match model input {model.input_shape}")
-    per_layer: dict[str, np.ndarray] = {}
-    gates: dict[str, object] = {}
-    out = x
+    per_layer, gates = {}, {}
+    out = x = x.view()  # the trace's own view: marking it read-only leaves the caller's flags
     for spec in model.layers:
         out, gate = KINDS[spec.kind].forward(spec, out)
         per_layer[spec.name] = out
         if gate is not None:
             gates[spec.name] = gate
+    for arr in (x, *per_layer.values(), *gates.values()):
+        arr.flags.writeable = False
     logits = per_layer[model.layers[logits_layer_index(model)].name]
-    return ActivationTrace(input=x, per_layer=per_layer, logits=logits, gates=gates)
+    return ActivationTrace(x, MappingProxyType(per_layer), logits, MappingProxyType(gates))
 
 
 def list_conv_layers(model: Model) -> list[str]:
@@ -167,6 +168,10 @@ def validate(model: Model) -> dict[str, tuple[int, ...]]:
             raise ShapeError(f"duplicate layer name: {spec.name}")
         if spec.kind not in KINDS:
             raise ShapeError(f"layer '{spec.name}': unknown kind '{spec.kind}'")
+        takes = KINDS[spec.kind].params + KINDS[spec.kind].arrays
+        for f in fields(LayerSpec)[2:]:
+            if getattr(spec, f.name) is not None and f.name not in takes:
+                raise ShapeError(f"layer '{spec.name}': a {spec.kind} layer takes no {f.name}")
         try:
             shape = KINDS[spec.kind].shape(spec, shape)
         except SmoothCamError as exc:
@@ -182,18 +187,19 @@ def validate(model: Model) -> dict[str, tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class LayerKind:
-    """The rules of one layer kind, read by every pass and by the model files."""
+    """The rules of one layer kind, read by every pass and by the model files. `params` and
+    `arrays` name the LayerSpec fields it takes: the manifest's params keys and span labels."""
 
     shape: Callable     # (spec, in_shape) -> out_shape; the primitive's own rule
     forward: Callable   # (spec, x, gate=None) -> (out, gate); replays a given gate frozen
     backward: Callable  # (spec, grad, recorded_input, recorded_output, gate) -> grad
-    params: dict[str, str] = field(default_factory=dict)  # manifest key -> LayerSpec attribute
-    weight: str | None = None  # attribute holding the weight array; None: no weight/bias spans
+    params: tuple[str, ...] = ()  # integer fields, in manifest order
+    arrays: tuple[str, ...] = ()  # float array fields, in blob order
 
 
 def _conv_backward(spec, grad, x, out, gate):
     # One GEMM gives the gradient of every im2col row; col2im adds them back.
-    k = spec.kernels
+    k = spec.weight
     kout, _, kh, kw = k.shape
     c, h, w = x.shape
     s, p = spec.stride, spec.padding
@@ -216,13 +222,13 @@ def _relu_forward(spec, x, gate=None):
 
 def _maxpool_forward(spec, x, gate=None):
     if gate is None:
-        return maxpool2d(x, spec.pool_size, spec.stride)
+        return maxpool2d(x, spec.size, spec.stride)
     return np.take(x, gate), gate
 
 
 def _maxpool_backward(spec, grad, x, out, gate):
     dx = np.zeros(x.shape)
-    if spec.stride >= spec.pool_size:  # disjoint windows hit no source twice: assign
+    if spec.stride >= spec.size:  # disjoint windows hit no source twice: assign
         dx.reshape(-1)[gate] = grad
     else:
         np.add.at(dx.reshape(-1), gate, grad)
@@ -235,12 +241,12 @@ def _maxpool_backward(spec, grad, x, out, gate):
 KINDS: dict[str, LayerKind] = {
     "conv": LayerKind(
         shape=lambda spec, in_shape: conv2d_shape(
-            in_shape, np.shape(spec.kernels), np.shape(spec.bias), spec.stride, spec.padding),
+            in_shape, np.shape(spec.weight), np.shape(spec.bias), spec.stride, spec.padding),
         forward=lambda spec, x, gate=None: (
-            conv2d(x, spec.kernels, spec.bias, spec.stride, spec.padding), None),
+            conv2d(x, spec.weight, spec.bias, spec.stride, spec.padding), None),
         backward=_conv_backward,
-        params={"stride": "stride", "padding": "padding"},
-        weight="kernels",
+        params=("stride", "padding"),
+        arrays=("weight", "bias"),
     ),
     "relu": LayerKind(
         shape=lambda spec, in_shape: in_shape,
@@ -248,10 +254,10 @@ KINDS: dict[str, LayerKind] = {
         backward=lambda spec, grad, x, out, gate: grad * (x > 0.0),
     ),
     "maxpool": LayerKind(
-        shape=lambda spec, in_shape: maxpool2d_shape(in_shape, spec.pool_size, spec.stride),
+        shape=lambda spec, in_shape: maxpool2d_shape(in_shape, spec.size, spec.stride),
         forward=_maxpool_forward,
         backward=_maxpool_backward,
-        params={"size": "pool_size", "stride": "stride"},
+        params=("size", "stride"),
     ),
     "flatten": LayerKind(
         shape=lambda spec, in_shape: (math.prod(in_shape),),
@@ -260,10 +266,10 @@ KINDS: dict[str, LayerKind] = {
     ),
     "dense": LayerKind(
         shape=lambda spec, in_shape: dense_shape(
-            in_shape, np.shape(spec.weights), np.shape(spec.bias)),
-        forward=lambda spec, x, gate=None: (dense(x, spec.weights, spec.bias), None),
-        backward=lambda spec, grad, x, out, gate: spec.weights.T @ grad,
-        weight="weights",
+            in_shape, np.shape(spec.weight), np.shape(spec.bias)),
+        forward=lambda spec, x, gate=None: (dense(x, spec.weight, spec.bias), None),
+        backward=lambda spec, grad, x, out, gate: spec.weight.T @ grad,
+        arrays=("weight", "bias"),
     ),
     "softmax": LayerKind(
         shape=lambda spec, in_shape: softmax_shape(in_shape),

@@ -309,7 +309,7 @@ def check_target(model: Model, request: SaliencyRequest) -> None:
     request.score.check_class(model.class_count)
     if request.method in CAM_METHODS:
         conv = model.layers[model.conv_index(request.layer)]
-        _normalize_filters(request.filters, len(conv.kernels))
+        _normalize_filters(request.filters, len(conv.weight))
         if request.neurons is not None:
             request.neurons.mask(*validate(model)[request.layer][1:])
 

@@ -236,6 +236,28 @@ def test_map_csv_header_roundtrips_every_flag(tmp_path, model_files, scene_ppm):
     assert "score=logit" in header
 
 
+def test_explain_without_request_flags_uses_the_request_defaults(tmp_path, model_files,
+                                                                  scene_ppm, monkeypatch):
+    # SaliencyRequest alone states the defaults of --samples, --sigma, --seed and
+    # --activation-source; spelling them out changes no byte.
+    real, seen = saliency.run, []
+    monkeypatch.setattr(saliency, "run", lambda model, x, request: seen.append(request)
+                        or real(model, x, request))
+    manifest, weights = model_files
+    bare = ["explain", "--model", manifest, "--weights", weights, "--image", scene_ppm,
+            "--method", "smooth-gradcampp", "--layer", "conv1"]
+    spelled = ["--samples", "25", "--sigma", "0.15", "--seed", "0",
+               "--activation-source", "original"]
+    for out, extra in (("bare", []), ("spelled", spelled)):
+        assert run_cli([*bare, *extra, "--out", str(tmp_path / out)]) == 0
+    assert seen == [saliency.SaliencyRequest(method="smooth-gradcampp", layer="conv1")] * 2
+    header = (tmp_path / "bare" / "map.csv").read_text().splitlines()[0]
+    for field in ("samples=25", "sigma=0.15", "activation-source=original", "seed=0"):
+        assert f" {field} " in header
+    for path in (tmp_path / "bare").iterdir():
+        assert (tmp_path / "spelled" / path.name).read_bytes() == path.read_bytes()
+
+
 @pytest.mark.parametrize("method", ["gradcampp", "smooth-gradcampp"])
 def test_usage_error_raw_logit_for_gradcampp(tmp_path, model_files, scene_ppm, capsys, method):
     out = tmp_path / "out"

@@ -1,5 +1,5 @@
-"""Checked values stay checked: every dataclass in the package is frozen, and a Model
-keeps its own copies of the layers it was given."""
+"""Checked values stay checked: every dataclass in the package is frozen, a Model
+keeps its own copies of the layers it was given, and a trace is read-only."""
 
 import dataclasses
 import importlib
@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import smoothcam
-from smoothcam import (Model, RgbImage, ShapeError, conv_layer, dense_layer, flatten_layer,
-                       relu_layer)
+from smoothcam import (Model, RgbImage, SaliencyRequest, ShapeError, conv_layer, dense_layer,
+                       flatten_layer, forward, relu_layer, smooth_triple)
 
 
 def _package_dataclasses():
@@ -36,8 +36,8 @@ def test_a_weight_array_cannot_be_swapped_past_the_finite_check(random_model):
     # A NaN kernel set after construction ended in a false "the class score overflowed".
     conv = random_model.layers[0]
     with pytest.raises(FrozenInstanceError):
-        conv.kernels = np.full(conv.kernels.shape, np.nan)
-    assert np.isfinite(random_model.layers[0].kernels).all()
+        conv.weight = np.full(conv.weight.shape, np.nan)
+    assert np.isfinite(random_model.layers[0].weight).all()
 
 
 def test_a_changed_input_shape_is_checked_again(random_model):
@@ -69,8 +69,27 @@ def test_model_leaves_the_callers_specs_alone(rng):
     model = Model([spec, flatten_layer("flatten1"), dense_layer("dense1", np.ones((2, 8)),
                                                                 np.zeros(2))],
                   input_shape=(1, 4, 4), class_count=2)
-    assert spec.kernels is kernels and kernels.dtype == np.float32
+    assert spec.weight is kernels and kernels.dtype == np.float32
     assert kernels.flags.writeable
-    owned = model.layers[0].kernels
+    owned = model.layers[0].weight
     assert owned.dtype == np.float64 and not owned.flags.writeable
     assert np.array_equal(owned, kernels)
+
+
+def test_a_trace_is_read_only_and_leaves_the_callers_input_alone(random_model, rng):
+    # A trace is shared by every reverse sweep over it; a write into it would change them all.
+    x = rng.random(random_model.input_shape)
+    t = forward(random_model, x)
+    with pytest.raises(ValueError):
+        t.logits[3] = np.nan
+    with pytest.raises(TypeError):
+        t.per_layer["conv1"] = np.zeros((4, 14, 14))
+    with pytest.raises(TypeError):
+        t.gates["pool1"] = np.zeros(196, dtype=np.intp)
+    assert not any(a.flags.writeable for a in (t.input, *t.per_layer.values(),
+                                               *t.gates.values()))
+    assert x.flags.writeable and t.input.base is x
+    x[0, 0, 0] = 0.5  # the caller's array stays theirs to change
+    request = SaliencyRequest(method="smooth-gradcampp", layer="conv1", n=2)
+    _, activations = smooth_triple(random_model, x, request)
+    assert not activations.flags.writeable

@@ -1,13 +1,21 @@
 import json
+import math
+import tempfile
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from smoothcam import (
     FormatError,
+    LayerSpec,
     Model,
     ParamError,
     ScoreMode,
+    SmoothCamError,
     build_fixture,
     conv_layer,
     dense_layer,
@@ -22,6 +30,7 @@ from smoothcam import (
     softmax_layer,
     validate,
 )
+from smoothcam.network import KINDS
 
 
 @pytest.fixture
@@ -216,7 +225,7 @@ def test_random_fixture_is_seed_deterministic():
     a = build_fixture("random", seed=7)
     b = build_fixture("random", seed=7)
     for la, lb in zip(a.layers, b.layers):
-        for attr in ("kernels", "weights", "bias"):
+        for attr in ("weight", "bias"):
             xa, xb = getattr(la, attr), getattr(lb, attr)
             if xa is not None:
                 assert np.array_equal(xa, xb)
@@ -225,7 +234,7 @@ def test_random_fixture_is_seed_deterministic():
 def test_random_fixture_seeds_differ():
     a = build_fixture("random", seed=1)
     b = build_fixture("random", seed=2)
-    assert not np.array_equal(a.layer("conv1").kernels, b.layer("conv1").kernels)
+    assert not np.array_equal(a.layer("conv1").weight, b.layer("conv1").weight)
 
 
 def test_detector_gradient_constant_on_first_map(detector_model, scene_top_left):
@@ -276,3 +285,66 @@ def test_random_fixture_class_count_variants():
     for classes in (2, 5, 10):
         model = build_fixture("random", seed=3, class_count=classes)
         assert validate(model)[model.layers[-1].name] == (classes,)
+
+
+def _float32(spec):
+    return replace(spec, **{a: getattr(spec, a).astype(np.float32) for a in KINDS[spec.kind].arrays})
+
+
+@given(data=st.data())
+def test_every_accepted_model_survives_save_and_load(data):
+    draw = data.draw
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 2)), draw(st.integers(3, 9)), draw(st.integers(3, 9)))
+    layers = []
+    for i in range(draw(st.integers(0, 2))):
+        count, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        layers.append(conv_layer(f"conv{i}", rng.standard_normal((count, shape[0], k, k)),
+                                 rng.standard_normal(count), draw(st.integers(1, 2)),
+                                 draw(st.integers(0, 1))))
+        if draw(st.booleans()):
+            layers.append(relu_layer(f"relu{i}"))
+        if draw(st.booleans()):
+            layers.append(maxpool_layer(f"pool{i}", draw(st.integers(1, 3)),
+                                        draw(st.none() | st.integers(1, 2))))
+    out = shape
+    try:
+        for spec in layers:
+            out = KINDS[spec.kind].shape(spec, out)
+    except SmoothCamError:
+        assume(False)
+    classes = draw(st.integers(1, 3))
+    layers += [flatten_layer("flatten1"),
+               dense_layer("dense1", rng.standard_normal((classes, math.prod(out))),
+                           rng.standard_normal(classes))]
+    if draw(st.booleans()):
+        layers.append(softmax_layer("softmax1"))
+    model = Model(layers, shape, classes)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(model, Path(tmp) / "m.json", Path(tmp) / "m.bin")
+        loaded = load_model(Path(tmp) / "m.json", Path(tmp) / "m.bin")
+    want = Model([_float32(spec) for spec in model.layers], shape, classes)
+    assert (loaded.input_shape, loaded.class_count) == (shape, classes)
+    for got, spec in zip(loaded.layers, want.layers, strict=True):
+        for f in fields(LayerSpec):
+            a, b = getattr(got, f.name), getattr(spec, f.name)
+            assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, f.name
+    x = rng.random(shape)
+    assert np.array_equal(forward(loaded, x).logits, forward(want, x).logits)
+
+
+def test_kinds_and_manifest_use_the_layer_spec_field_names(saved_fixture):
+    # Each name a kind takes is a LayerSpec field, each value field is taken by some kind,
+    # and the manifest writes exactly a layer's params keys and spans: no name to translate.
+    values = [f.name for f in fields(LayerSpec)][2:]
+    assert [f.name for f in fields(LayerSpec)][:2] == ["name", "kind"]
+    taken = [name for rules in KINDS.values() for name in (*rules.params, *rules.arrays)]
+    assert set(taken) <= set(values) and set(values) <= set(taken)
+    manifest, _ = saved_fixture
+    entries = json.loads(manifest.read_text())["layers"]
+    assert {entry["kind"] for entry in entries} == set(KINDS)
+    for entry in entries:
+        rules = KINDS[entry["kind"]]
+        assert list(entry["params"]) == list(rules.params)
+        spans = {f"{label}_{part}" for label in rules.arrays for part in ("offset", "shape")}
+        assert set(entry) == {"name", "kind", "params", *spans}

@@ -75,6 +75,17 @@ def test_wrong_class_count_rejected():
                  id="rank-2-input"),
     pytest.param([flatten_layer("f")], (1, 0, 4), "input shape must be [C,H,W] with positive dims",
                  id="empty-input"),
+    # A field the kind does not take is refused: a relu with a bias used to build, save,
+    # and then fail to load its own file.
+    pytest.param([LayerSpec("relu1", "relu", bias=np.zeros(4))], (1, 2, 2),
+                 "layer 'relu1': a relu layer takes no bias", id="relu-bias"),
+    pytest.param([LayerSpec("conv1", "conv", np.ones((1, 1, 1, 1)), np.zeros(1), 1, 0, size=3)],
+                 (1, 2, 2), "layer 'conv1': a conv layer takes no size", id="conv-size"),
+    pytest.param([LayerSpec("relu1", "relu", stride="x")], (1, 2, 2),
+                 "layer 'relu1': a relu layer takes no stride", id="relu-stride"),
+    # Only the helper has a default window: a bare pool spec once meant 2x2 at stride 1.
+    pytest.param([LayerSpec("pool1", "maxpool")], (1, 2, 2),
+                 "layer 'pool1': pool size must be an integer >= 1, got None", id="bare-pool"),
 ])
 def test_validate_rejects_a_bad_layer_kind_or_input_shape(layers, input_shape, message):
     with pytest.raises(ShapeError, match=re.escape(message)):
@@ -216,11 +227,11 @@ def test_list_conv_layers_none():
 def test_model_weights_are_frozen(random_model):
     conv = random_model.layer("conv1")
     with pytest.raises(ValueError):
-        conv.kernels[0, 0, 0, 0] = 99.0
+        conv.weight[0, 0, 0, 0] = 99.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("layer, attr", [("conv1", "kernels"), ("dense1", "weights"),
+@pytest.mark.parametrize("layer, attr", [("conv1", "weight"), ("dense1", "weight"),
                                          ("dense1", "bias")])
 def test_model_refuses_non_finite_weights(rng, bad, layer, attr):
     # A library Model took a NaN kernel, and run then returned an all-NaN display.

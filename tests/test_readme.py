@@ -22,5 +22,5 @@ def test_readme_library_example_runs():
     # The re-drawn model maps differently, and the model it came from keeps its kernels.
     randomized = scope["smap_random"].display
     assert randomized.shape == (16, 16) and not np.array_equal(randomized, display)
-    assert np.array_equal(scope["model"].layer("conv1").kernels,
-                          build_fixture("random", seed=7).layer("conv1").kernels)
+    assert np.array_equal(scope["model"].layer("conv1").weight,
+                          build_fixture("random", seed=7).layer("conv1").weight)

@@ -285,7 +285,7 @@ _CALLER_INTEGERS = {
                                     class_count=v), lambda r: r.class_count),
     "conv-stride": (lambda v: _net(_conv1x1(stride=v), 1, 1), lambda r: r.layers[0].stride),
     "conv-padding": (lambda v: _net(_conv1x1(padding=v), 1, 49), lambda r: r.layers[0].padding),
-    "pool-size": (lambda v: _net(maxpool_layer("p", v, 1), 3, 1), lambda r: r.layers[0].pool_size),
+    "pool-size": (lambda v: _net(maxpool_layer("p", v, 1), 3, 1), lambda r: r.layers[0].size),
     "pool-stride": (lambda v: _net(maxpool_layer("p", 1, v), 1, 1), lambda r: r.layers[0].stride),
     "fixture-seed": (lambda v: build_fixture("random", seed=v), None),
     "fixture-classes": (lambda v: build_fixture("random", class_count=v),
@@ -768,7 +768,7 @@ def test_randomizing_weights_layer_by_layer_changes_the_map(random_model, rng):
     redraw = np.random.default_rng(2024)
     layers = list(random_model.layers)
     maps = [run(random_model, x, request).display]
-    for name, attr in (("conv1", "kernels"), ("dense1", "weights")):
+    for name, attr in (("conv1", "weight"), ("dense1", "weight")):
         i = random_model.layer_index(name)
         old = getattr(layers[i], attr)
         layers[i] = replace(layers[i], **{attr: redraw.normal(0.0, old.std(), old.shape)})
@@ -788,7 +788,7 @@ def test_cascading_randomization_moves_the_map_at_every_step(strided_model, rng,
     redraw = np.random.default_rng(2024)
     layers = list(strided_model.layers)
     before = run(strided_model, x, request).display
-    for name, attr in (("dense1", "weights"), ("conv2", "kernels"), ("conv1", "kernels")):
+    for name, attr in (("dense1", "weight"), ("conv2", "weight"), ("conv1", "weight")):
         i = strided_model.layer_index(name)
         old = getattr(layers[i], attr)
         layers[i] = replace(layers[i], **{attr: redraw.normal(0.0, old.std(), old.shape)})
@@ -837,7 +837,7 @@ def test_input_shift_absorbed_by_conv1_bias_keeps_the_map(random_model, rng, met
     delta = 0.37
     conv = random_model.layer("conv1")
     shifted = _with_layers(
-        random_model, conv1={"bias": conv.bias - delta * conv.kernels.sum(axis=(1, 2, 3))})
+        random_model, conv1={"bias": conv.bias - delta * conv.weight.sum(axis=(1, 2, 3))})
     _assert_same_map(run(random_model, x, _request(method)),
                      run(shifted, x + delta, _request(method)))
 
@@ -849,11 +849,11 @@ def test_conv1_filter_permutation_permutes_the_maps(random_model, rng, method):
     x = rng.random(random_model.input_shape)
     perm = [2, 0, 3, 1]
     conv, dense = random_model.layer("conv1"), random_model.layer("dense1")
-    m = dense.weights.shape[0]
+    m = dense.weight.shape[0]
     permuted = _with_layers(
         random_model,
-        conv1={"kernels": conv.kernels[perm], "bias": conv.bias[perm]},
-        dense1={"weights": dense.weights.reshape(m, len(perm), -1)[:, perm].reshape(m, -1)},
+        conv1={"weight": conv.weight[perm], "bias": conv.bias[perm]},
+        dense1={"weight": dense.weight.reshape(m, len(perm), -1)[:, perm].reshape(m, -1)},
     )
     pairs = [(None, None)]
     if method in CAM_METHODS:
@@ -869,13 +869,13 @@ def test_dead_conv1_filter_keeps_the_maps(random_model, rng, method):
     # logit and gets no gradient, so the whole-layer map and each original filter's map stay.
     x = rng.random(random_model.input_shape)
     conv, dense = random_model.layer("conv1"), random_model.layer("dense1")
-    k, (m, features) = conv.kernels.shape[0], dense.weights.shape
-    blocks = dense.weights.reshape(m, k, features // k)
+    k, (m, features) = conv.weight.shape[0], dense.weight.shape
+    blocks = dense.weight.reshape(m, k, features // k)
     dead = _with_layers(
         random_model,
-        conv1={"kernels": np.concatenate([conv.kernels, np.zeros_like(conv.kernels[:1])]),
+        conv1={"weight": np.concatenate([conv.weight, np.zeros_like(conv.weight[:1])]),
                "bias": np.append(conv.bias, 0.0)},
-        dense1={"weights": np.concatenate([blocks, np.zeros_like(blocks[:, :1])], axis=1)
+        dense1={"weight": np.concatenate([blocks, np.zeros_like(blocks[:, :1])], axis=1)
                 .reshape(m, -1)},
     )
     filters = [None]
