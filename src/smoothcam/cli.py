@@ -120,7 +120,7 @@ def _cmd_explain(args) -> None:
     else:
         jobs = [("", request)]
     results = [(suffix, saliency.run(model, x, req)) for suffix, req in jobs]
-    chosen = results[0][1].meta["class"]
+    chosen = results[0][1].chosen_class
     score_value = request.score.value(forward(model, x).logits, chosen)
     if not np.isfinite(score_value):  # run refuses a non-finite map; gradcam's survives
         raise NonFiniteMapError(
@@ -201,8 +201,8 @@ def _parse_request(args) -> tuple[SaliencyRequest, float]:
 def _meta_header(request: SaliencyRequest, blend: float, chosen_class: int) -> str:
     """The map CSV's `#` line, echoing parsed values: raw flag text could break the line."""
     sel = request.neurons
-    coords = sel.text() if sel is not None and sel.box is None else "-"
-    box = sel.text() if sel is not None and sel.box is not None else "-"
+    coords = ",".join(f"{r}:{c}" for r, c in sel.coords) if sel and sel.box is None else "-"
+    box = ":".join(str(v) for v in sel.box) if sel and sel.box is not None else "-"
     fields = [
         ("method", request.method),
         ("class", "auto" if request.score.class_index is None else request.score.class_index),

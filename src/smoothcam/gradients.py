@@ -56,7 +56,7 @@ class ScoreMode:
         return float(softmax(logits)[class_index])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradientTriple:
     """First, second, and third derivative stacks over one [K,h,w] activation stack."""
 

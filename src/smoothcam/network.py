@@ -22,7 +22,7 @@ from .tensor import (Tensor, as_tensor, conv2d, conv2d_shape, dense, dense_shape
                      maxpool2d, maxpool2d_shape, relu, softmax, softmax_shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayerSpec:
     """One pipeline stage, its fields named as in the manifest. A field its kind does not
     take stays None; the helpers hold the defaults. A Model checks it and keeps a copy."""
@@ -60,7 +60,7 @@ def softmax_layer(name: str) -> LayerSpec:
     return LayerSpec(name, "softmax")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Model:
     """An ordered layer pipeline with a fixed [C,H,W] input shape.
 
@@ -113,7 +113,7 @@ class Model:
         raise type(error)(f"{error} (valid conv layers: {valid})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActivationTrace:
     """Every layer's forward output plus the bookkeeping reverse sweeps need, all read-only."""
 

@@ -75,11 +75,6 @@ class NeuronSelection:
                 keep[r, c] = True
         return keep
 
-    def text(self) -> str:
-        """The selection as its flag value: "r:c,r:c" for coordinates, "t:l:b:r" for a box."""
-        entries = [self.box] if self.box is not None else self.coords
-        return ",".join(":".join(str(v) for v in entry) for entry in entries)
-
 
 @dataclass(frozen=True)
 class SaliencyRequest:
@@ -121,13 +116,15 @@ class SaliencyRequest:
             object.__setattr__(self, "filters", ints(self.filters, "filters"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SaliencyMap:
-    """A computed map: raw (nonnegative, method resolution) and normalized display."""
+    """A computed map: raw (nonnegative, method resolution) and normalized display,
+    both read-only, with the request it answers and the class it explains."""
 
     raw: np.ndarray      # [h, w], >= 0
     display: np.ndarray  # [H, W] at input resolution, values in [0, 1]
-    meta: dict
+    request: SaliencyRequest
+    chosen_class: int    # the request's class, or the clean pass's argmax class
 
 
 def smooth_triple(
@@ -208,7 +205,7 @@ def smoothgrad_map(model: Model, input: Tensor, request: SaliencyRequest) -> Sal
     reduces the multi-channel averaged gradient by taking the per-pixel
     maximum of absolute values across channels, then min-max normalizing.
     """
-    if request.method not in ("sensitivity", "smoothgrad"):
+    if request.method in CAM_METHODS:
         raise ParamError(f"smoothgrad_map does not handle method '{request.method}'")
 
     def per_sample(sample, c):
@@ -235,7 +232,7 @@ def run(model: Model, input: Tensor, request: SaliencyRequest) -> SaliencyMap:
     """Dispatch a request to its method pipeline and return the finished map."""
     check_target(model, request)
     x = as_tensor(input)
-    if request.method in ("sensitivity", "smoothgrad"):
+    if request.method not in CAM_METHODS:
         return smoothgrad_map(model, x, request)
     base, c = _clean_pass(model, x, request)
 
@@ -263,7 +260,8 @@ def _finished(model: Model, request: SaliencyRequest, raw: np.ndarray, c: int) -
         raise NonFiniteMapError(
             f"{request.method} output for class {c} is not finite: the class score overflowed")
     display = postprocess(raw, model.input_shape[1], model.input_shape[2])
-    return SaliencyMap(raw=raw, display=display, meta=_meta(request, c))
+    raw.flags.writeable = display.flags.writeable = False
+    return SaliencyMap(raw, display, request, c)
 
 
 def _clean_pass(model: Model, x: np.ndarray, request: SaliencyRequest):
@@ -332,18 +330,3 @@ def _normalize_filters(filters, k: int) -> np.ndarray:
             raise ParamError(f"filter index {i} out of range [0, {k})")
     return np.asarray(idx, dtype=np.intp)
 
-
-def _meta(request: SaliencyRequest, class_index: int) -> dict:
-    sel = request.neurons
-    return {
-        "method": request.method,
-        "class": class_index,
-        "layer": request.layer,
-        "score": request.score.mode,
-        "samples": request.n,
-        "sigma": request.sigma_rel,
-        "activation_source": request.activation_source,
-        "filters": None if request.filters is None else list(request.filters),
-        "neurons": None if sel is None else ("coords=" if sel.box is None else "box=") + sel.text(),
-        "seed": request.seed,
-    }

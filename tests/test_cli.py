@@ -236,6 +236,18 @@ def test_map_csv_header_roundtrips_every_flag(tmp_path, model_files, scene_ppm):
     assert "score=logit" in header
 
 
+@pytest.mark.parametrize("flag, value, fields", [
+    ("--neurons", "3:5,5:5", "neurons=3:5,5:5 region-box=-"),
+    ("--region-box", "0:0:6:6", "neurons=- region-box=0:0:6:6"),
+])
+def test_map_csv_header_writes_a_selection_as_its_flag(tmp_path, model_files, scene_ppm,
+                                                       flag, value, fields):
+    out = tmp_path / "out"
+    assert run_cli(_explain_args(model_files, scene_ppm, str(out), extra=[flag, value])) == 0
+    header = (out / "map.csv").read_text().splitlines()[0]
+    assert f" filters=- {fields} activation-source=" in header
+
+
 def test_explain_without_request_flags_uses_the_request_defaults(tmp_path, model_files,
                                                                   scene_ppm, monkeypatch):
     # SaliencyRequest alone states the defaults of --samples, --sigma, --seed and

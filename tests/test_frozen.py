@@ -1,5 +1,6 @@
 """Checked values stay checked: every dataclass in the package is frozen, a Model
-keeps its own copies of the layers it was given, and a trace is read-only."""
+keeps its own copies of the layers it was given, and traces and maps are read-only.
+Values that hold arrays compare by identity."""
 
 import dataclasses
 import importlib
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 import smoothcam
-from smoothcam import (Model, RgbImage, SaliencyRequest, ShapeError, conv_layer, dense_layer,
-                       flatten_layer, forward, relu_layer, smooth_triple)
+from smoothcam import (Model, RgbImage, SaliencyRequest, ShapeError, build_fixture, conv_layer,
+                       dense_layer, flatten_layer, forward, relu_layer, run, smooth_triple)
 
 
 def _package_dataclasses():
@@ -30,6 +31,27 @@ def test_every_dataclass_in_the_package_is_frozen():
     assert {"LayerSpec", "Model", "ActivationTrace", "LayerKind", "ScoreMode", "GradientTriple",
             "NeuronSelection", "SaliencyRequest", "SaliencyMap", "RgbImage"} <= set(found)
     assert [name for name, cls in found.items() if not cls.__dataclass_params__.frozen] == []
+
+
+def test_no_dataclass_field_is_a_mutable_container():
+    # Freezing a value does not freeze a dict, list or set inside it.
+    mutable = re.compile(r"\b(dict|list|set|Dict|List|Set)\b")
+    assert [f"{name}.{f.name}" for name, cls in _package_dataclasses().items()
+            for f in dataclasses.fields(cls) if mutable.search(str(f.type))] == []
+
+
+def test_every_dataclass_holding_arrays_is_eq_false():
+    # A generated __eq__ compares arrays elementwise and has no truth value; its __hash__
+    # hashes an array. A value holding another such value holds arrays too.
+    found = _package_dataclasses()
+    holders, grown = set(), True
+    while grown:
+        words = "|".join(["ndarray", *sorted(holders)])
+        now = {name for name, cls in found.items()
+               if any(re.search(rf"\b({words})\b", str(f.type)) for f in dataclasses.fields(cls))}
+        grown, holders = now != holders, now
+    assert holders == {"LayerSpec", "Model", "ActivationTrace", "GradientTriple", "SaliencyMap"}
+    assert sorted(name for name in holders if found[name].__dataclass_params__.eq) == []
 
 
 def test_a_weight_array_cannot_be_swapped_past_the_finite_check(random_model):
@@ -93,3 +115,29 @@ def test_a_trace_is_read_only_and_leaves_the_callers_input_alone(random_model, r
     request = SaliencyRequest(method="smooth-gradcampp", layer="conv1", n=2)
     _, activations = smooth_triple(random_model, x, request)
     assert not activations.flags.writeable
+
+
+def test_values_holding_arrays_compare_and_hash_by_identity(rng):
+    # A generated __eq__ or __hash__ would raise here: an array comparison has no truth value.
+    models = [build_fixture("random", seed=7), build_fixture("random", seed=7)]
+    x = rng.random(models[0].input_shape)
+    request = SaliencyRequest(method="gradcam", layer="conv1")
+    for a, b in (models, [forward(m, x) for m in models], [run(m, x, request) for m in models]):
+        assert a in [a] and a not in [b]
+        assert {a: 1}[a] == 1 and b not in {a: 1}
+
+
+@pytest.mark.parametrize("method, layer", [("smooth-gradcampp", "conv1"), ("smoothgrad", None)])
+def test_a_map_is_read_only_and_records_its_class(random_model, rng, method, layer):
+    x = rng.random(random_model.input_shape)
+    request = SaliencyRequest(method=method, layer=layer, n=2)
+    smap = run(random_model, x, request)
+    with pytest.raises(ValueError):
+        smap.raw[0, 0] = 7.0
+    with pytest.raises(ValueError):
+        smap.display[0, 0] = 7.0
+    with pytest.raises(FrozenInstanceError):
+        smap.chosen_class = 99
+    assert type(smap.chosen_class) is int
+    assert smap.chosen_class == int(np.argmax(forward(random_model, x).logits))
+    assert smap.request is request

@@ -497,7 +497,7 @@ def test_run_is_byte_deterministic(random_model, rng):
     b = run(random_model, x, request)
     assert a.raw.tobytes() == b.raw.tobytes()
     assert a.display.tobytes() == b.display.tobytes()
-    assert a.meta == b.meta
+    assert (a.request, a.chosen_class) == (b.request, b.chosen_class)
 
 
 def test_run_meta_echoes_request(random_model, rng):
@@ -505,18 +505,15 @@ def test_run_meta_echoes_request(random_model, rng):
     request = SaliencyRequest(method="gradcam", score=ScoreMode("raw-logit", 6),
                               layer="conv1", filters=(1, 3), seed=12)
     smap = run(random_model, x, request)
-    assert smap.meta["method"] == "gradcam"
-    assert smap.meta["class"] == 6
-    assert smap.meta["layer"] == "conv1"
-    assert smap.meta["filters"] == [1, 3]
-    assert smap.meta["seed"] == 12
+    assert smap.request is request
+    assert smap.chosen_class == 6
 
 
 def test_run_auto_class_is_argmax(random_model, rng):
     x = rng.random((1, 16, 16))
     trace = forward(random_model, x)
     smap = run(random_model, x, SaliencyRequest(method="gradcam", layer="conv1", seed=0))
-    assert smap.meta["class"] == int(np.argmax(trace.logits))
+    assert smap.chosen_class == int(np.argmax(trace.logits))
 
 
 def test_run_gradcam_honors_neuron_selection(random_model, rng):
@@ -824,7 +821,7 @@ def _with_layers(model, **changed):
 
 
 def _assert_same_map(a, b):
-    assert a.meta["class"] == b.meta["class"]
+    assert a.chosen_class == b.chosen_class
     assert np.max(np.abs(a.display - b.display)) <= 1e-9
 
 

@@ -53,7 +53,7 @@ def _requests():
 
 
 def _map_bytes(smap):
-    return smap.raw.tobytes(), smap.display.tobytes(), smap.meta
+    return smap.raw.tobytes(), smap.display.tobytes(), smap.request, smap.chosen_class
 
 
 def _returned_arrays(model, x):
