@@ -198,13 +198,16 @@ class LayerKind:
 
 
 def _conv_backward(spec, grad, x, out, gate):
-    # One GEMM gives the gradient of every im2col row; col2im adds them back.
+    # One GEMM per output row (kept on the calling thread, as in conv2d) gives the gradient
+    # of every im2col row; col2im adds them back.
     k = spec.weight
     kout, _, kh, kw = k.shape
     c, h, w = x.shape
     s, p = spec.stride, spec.padding
     hh, ww = grad.shape[1], grad.shape[2]
-    cols = (k.reshape(kout, -1).T @ grad.reshape(kout, -1)).reshape(c, kh, kw, hh, ww)
+    cols = np.empty((c * kh * kw, hh, ww))
+    np.matmul(k.reshape(kout, -1).T, grad.transpose(1, 0, 2), out=cols.transpose(1, 0, 2))
+    cols = cols.reshape(c, kh, kw, hh, ww)
     dx = np.zeros((c, h + 2 * p, w + 2 * p))
     for u in range(kh):
         for v in range(kw):

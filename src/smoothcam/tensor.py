@@ -73,11 +73,13 @@ def conv2d(
     b = as_tensor(bias)
     kout, hh, ww = conv2d_shape(x.shape, k.shape, b.shape, stride, padding)
     kh, kw = k.shape[2:]
-    # im2col: one GEMM of the flattened kernels with every window's taps.
-    cols = _taps(x, kh, kw, stride, hh, ww, padding).reshape(-1, hh * ww)
-    out = k.reshape(kout, -1) @ cols
-    out += b[:, None]
-    return out.reshape(kout, hh, ww)
+    # im2col with one GEMM per output row: each is small enough that OpenBLAS runs it on
+    # the calling thread, so its workers sleep instead of spinning through the call.
+    taps = _taps(x, kh, kw, stride, hh, ww, padding).reshape(-1, hh, ww)
+    out = np.empty((kout, hh, ww))
+    np.matmul(k.reshape(kout, -1), taps.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
+    out += b[:, None, None]
+    return out
 
 
 def conv2d_shape(x_shape, k_shape, b_shape, stride: int, padding: int) -> tuple[int, int, int]:
