@@ -100,7 +100,7 @@ def _build_parser() -> _Parser:
     mk = sub.add_parser("make-fixture", help="write a fixture model to disk")
     mk.add_argument("--kind", required=True, choices=["random", "detector"])
     mk.add_argument("--seed", type=int, default=0)
-    mk.add_argument("--classes", type=int, default=10, help="class count for the random kind")
+    mk.add_argument("--classes", type=int, help="class count for the random kind (default 10)")
     mk.add_argument("--model", required=True, help="manifest output path")
     mk.add_argument("--weights", required=True, help="blob output path")
     mk.add_argument("--scene", default=None,

@@ -59,7 +59,8 @@ def save_model(model: Model, manifest_path, weights_path) -> None:
 
 
 def load_model(manifest_path, weights_path) -> Model:
-    """Load a manifest + blob pair, validating structure before touching weights."""
+    """Load a manifest + blob pair. Every manifest object must hold exactly the keys
+    `save_model` writes there; each weight span is checked and sliced as its entry is read."""
     try:
         doc = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -70,36 +71,33 @@ def load_model(manifest_path, weights_path) -> Model:
         raise FormatError("manifest root must be a JSON object")
     if _json_int(doc.get("format_version"), "format_version", "manifest") != FORMAT_VERSION:
         raise FormatError(f"unsupported format_version {doc['format_version']!r}")
-    input_shape = tuple(_int_list(doc.get("input_shape"), "input_shape", "manifest"))
-    class_count = _json_int(doc.get("class_count"), "class_count", "manifest")
-    entries = doc.get("layers")
-    if not isinstance(entries, list):
+    _exact_keys(doc, ("format_version", "input_shape", "class_count", "layers"), "manifest")
+    input_shape = tuple(_int_list(doc["input_shape"], "input_shape", "manifest"))
+    class_count = _json_int(doc["class_count"], "class_count", "manifest")
+    if not isinstance(doc["layers"], list):
         raise FormatError("manifest field 'layers' must be a list of layer objects")
 
-    total = 0
-    specs = []  # (name, kind, integer fields, {array field: shape}), spans in blob order
-    for i, entry in enumerate(entries):
+    blob = Path(weights_path).read_bytes()
+    total, layers = 0, []
+    for i, entry in enumerate(doc["layers"]):
         if not isinstance(entry, dict):
             raise FormatError(f"layer {i}: entry must be a JSON object, got {entry!r}")
-        kind = entry.get("kind")
-        name = entry.get("name")
+        name, kind = entry.get("name"), entry.get("kind")
         if not isinstance(name, str) or not name:
             raise FormatError(f"layer entry missing a name: {entry!r}")
         if not name.isprintable():  # a line break or a lone surrogate would garble the output
             raise FormatError(f"layer {i}: name {name!r} holds an unprintable character")
         if not isinstance(kind, str) or kind not in KINDS:
             raise FormatError(f"layer '{name}': unknown kind '{kind}'")
-        rules = KINDS[kind]
-        where = f"layer '{name}'"
-        arrays = {}
-        for label in ("weight", "bias"):
-            has_offset = f"{label}_offset" in entry
-            if has_offset != (f"{label}_shape" in entry):
-                raise FormatError(f"{where}: {label} offset/shape must appear together")
-            if not has_offset:
-                continue
-            if label not in rules.arrays:
-                raise FormatError(f"{where}: kind '{kind}' carries no weights")
+        rules, where = KINDS[kind], f"layer '{name}'"
+        spans = [f"{label}_{part}" for label in rules.arrays for part in ("offset", "shape")]
+        _exact_keys(entry, ("name", "kind", "params", *spans), where)
+        params = entry["params"]
+        if not isinstance(params, dict):
+            raise FormatError(f"{where}: params must be a JSON object, got {params!r}")
+        _exact_keys(params, rules.params, f"{where} params")
+        fields = {key: _json_int(params[key], f"param '{key}'", where) for key in rules.params}
+        for label in rules.arrays:
             offset = _json_int(entry[f"{label}_offset"], f"{label}_offset", where)
             shape = _int_list(entry[f"{label}_shape"], f"{label}_shape", where)
             if offset != total:
@@ -108,47 +106,35 @@ def load_model(manifest_path, weights_path) -> Model:
                     f"(expected {total})"
                 )
             total += math.prod(shape) * _ITEM_BYTES
-            arrays[label] = shape
-        if len(arrays) != len(rules.arrays):
-            raise FormatError(f"{where}: {kind} requires weight and bias spans")
-        params = entry.get("params", {})
-        if not isinstance(params, dict):
-            raise FormatError(f"{where}: params must be a JSON object, got {params!r}")
-        fields = {key: _json_int(params.get(key), f"param '{key}'", where) for key in rules.params}
-        specs.append((name, kind, fields, arrays))
-
-    blob = Path(weights_path).read_bytes()
+            if total > len(blob):
+                continue  # a short blob is reported below, with the length every span adds to
+            try:  # Model makes the one float64 copy
+                fields[label] = np.frombuffer(blob, "<f4", math.prod(shape), offset).reshape(shape)
+            except ValueError as exc:  # an empty array with a dimension numpy cannot hold
+                raise FormatError(f"{where}: bad {label}_shape {shape}: {exc}") from None
+        layers.append(LayerSpec(name, kind, **fields))
     if len(blob) != total:
         raise FormatError(f"weight blob is {len(blob)} bytes, expected {total}")
-
-    layers, offset = [], 0
-    for name, kind, fields, arrays in specs:
-        for label, shape in arrays.items():
-            arr = np.frombuffer(blob, dtype="<f4", count=math.prod(shape), offset=offset)
-            offset += arr.nbytes
-            try:
-                fields[label] = arr.reshape(shape)  # Model makes the one float64 copy
-            except ValueError as exc:  # an empty array with a dimension numpy cannot hold
-                raise FormatError(f"layer '{name}': bad {label}_shape {shape}: {exc}") from None
-        layers.append(LayerSpec(name, kind, **fields))
     return Model(layers=layers, input_shape=input_shape, class_count=class_count)
 
 
-def build_fixture(kind: str, seed: int = 0, class_count: int = 10) -> Model:
+def build_fixture(kind: str, seed: int = 0, class_count: int | None = None) -> Model:
     """Construct a small ready-made model.
 
     "random": conv(4@3x3) -> relu -> maxpool(2) -> flatten -> dense -> softmax
     over 1x16x16 inputs, with weights drawn from a generator seeded by `seed`;
-    class_count may be 2..10.
+    class_count may be 2..10 and defaults to 10.
 
     "detector": a fixed 2-class net on 1x16x16 inputs whose first conv filter
     is an all-positive 3x3 brightness average (the second filter is zero) and
     whose class-0 dense row uniformly averages that feature map while class 1
     gets nothing. The class-0 salient region is therefore exactly the bright
     part of the image, which makes localization checkable without training.
+    Its class_count, if given, must be 2.
     """
-    seed, class_count = integer(seed, "seed", 0), integer(class_count, "class count")
+    seed = integer(seed, "seed", 0)
     if kind == "random":
+        class_count = integer(10 if class_count is None else class_count, "class count")
         if not 2 <= class_count <= 10:
             raise ParamError(f"random fixture supports 2..10 classes, got {class_count}")
         rng = np.random.default_rng(seed)
@@ -165,6 +151,8 @@ def build_fixture(kind: str, seed: int = 0, class_count: int = 10) -> Model:
         ]
         return Model(layers=layers, input_shape=(1, 16, 16), class_count=class_count)
     if kind == "detector":
+        if class_count is not None and integer(class_count, "class count") != 2:
+            raise ParamError(f"detector fixture has 2 classes, got {class_count}")
         kernels = np.zeros((2, 1, 3, 3))
         kernels[0] = 1.0 / 9.0
         map_cells = 14 * 14
@@ -194,6 +182,16 @@ def detector_scene(quadrant: str = "top-left") -> np.ndarray:
     rs, cs = spans[quadrant]
     img[0, rs, cs] = 1.0
     return img
+
+
+def _exact_keys(obj: dict, keys: tuple[str, ...], where: str) -> None:
+    """A manifest object holds exactly `keys`, the ones save_model writes there."""
+    for key in obj:
+        if key not in keys:
+            raise FormatError(f"{where}: unknown key {key!r}")
+    for key in keys:
+        if key not in obj:
+            raise FormatError(f"{where}: missing key {key!r}")
 
 
 def _json_int(value, field: str, where: str) -> int:

@@ -107,10 +107,11 @@ class SaliencyRequest:
                 raise ParamError(f"{self.method} needs exp-logit: raw-logit zeroes every alpha")
             if self.score.mode == "probability":
                 raise ParamError(f"{self.method} has no probability score: use exp-logit")
-        elif self.layer is not None or self.filters is not None or self.neurons is not None:
+        elif (self.layer is not None or self.filters is not None or self.neurons is not None
+              or self.activation_source != "original"):  # these maps are taken at the input
             raise ParamError(
-                f"a layer, filters and neuron selections only apply to CAM methods, "
-                f"not '{self.method}'"
+                f"a layer, filters and neuron selections, and averaged activations, only apply "
+                f"to CAM methods, not '{self.method}'"
             )
         if self.filters is not None:
             object.__setattr__(self, "filters", ints(self.filters, "filters"))

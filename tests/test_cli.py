@@ -125,6 +125,7 @@ def test_usage_error_neurons_and_region_box(tmp_path, model_files, scene_ppm):
     ["--neurons", "3"], ["--neurons", "1::2"], ["--neurons", ","], ["--region-box", "1:2:3"],
     ["--class", "3:4"], ["--filters", "0,,1"],
     ["make-fixture", "--kind", "random", "--classes", "1"],
+    ["make-fixture", "--kind", "detector", "--classes", "5"],
 ], ids=" ".join)
 def test_usage_errors_print_one_line(tmp_path, model_files, scene_ppm, capsys, argv):
     # Explain flags come after the defaults, which hold "--layer conv1", and override them.
@@ -494,6 +495,52 @@ def test_console_script_prints_one_line_when_the_class_score_overflows(tmp_path,
     assert done.returncode == 2 and done.stdout == ""
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {method} output for class 9")
+
+
+def test_console_script_refuses_a_manifest_key_save_model_does_not_write(
+        tmp_path, model_files, scene_ppm, capsys, monkeypatch):
+    # A dilation the loader dropped would explain a different network from the file's.
+    manifest, _ = model_files
+    doc = json.loads(Path(manifest).read_text())
+    doc["layers"][0]["params"]["dilation"] = 2
+    Path(manifest).write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", ["smoothcam", *_explain_args(model_files, scene_ppm,
+                                                                  str(out))])
+    with pytest.raises(SystemExit) as done:
+        main()
+    assert done.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: layer 'conv1' params: unknown key 'dilation'"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["sensitivity", "smoothgrad"])
+def test_averaged_activations_are_a_usage_error_without_a_cam(tmp_path, model_files, scene_ppm,
+                                                              capsys, method):
+    # These maps have no activations to average: the map would equal the original one
+    # while its header claimed activation-source=averaged.
+    manifest, weights = model_files
+    out = tmp_path / "out"
+    args = ["explain", "--model", manifest, "--weights", weights, "--image", scene_ppm,
+            "--method", method, "--activation-source", "averaged", "--seed", "1",
+            "--out", str(out)]
+    assert run_cli(args) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: ")
+    assert "averaged activations" in lines[0] and f"not '{method}'" in lines[0]
+    assert not out.exists()
+
+
+def test_make_fixture_classes_reach_the_random_model_only(tmp_path, capsys):
+    manifest, weights = tmp_path / "m.json", tmp_path / "m.bin"
+    for kind, classes, count in [("random", [], 10), ("random", ["--classes", "5"], 5),
+                                 ("detector", [], 2), ("detector", ["--classes", "2"], 2)]:
+        assert run_cli(["make-fixture", "--kind", kind, *classes, "--model", str(manifest),
+                        "--weights", str(weights)]) == 0
+        assert json.loads(manifest.read_text())["class_count"] == count
+    assert capsys.readouterr().err == ""
 
 
 def test_console_script_lists_layers(model_files, capsys, monkeypatch):

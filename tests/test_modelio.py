@@ -128,6 +128,12 @@ def _break_manifest(doc, case):
         conv["weight_shape"] = [[1]]
     elif case == "input-shape-string":
         doc["input_shape"] = "abc"
+    elif case == "conv-with-dilation":
+        conv["params"]["dilation"] = 2
+    elif case == "relu-with-stride":
+        relu["params"]["stride"] = 5
+    elif case == "root-extra":
+        doc["mean"] = [0.5]
     else:
         conv["name"] = "conv\n1"
     return doc
@@ -135,8 +141,11 @@ def _break_manifest(doc, case):
 
 # What each broken manifest's FormatError message starts with.
 _BROKEN = {
-    "relu-with-weight": "layer 'relu1': kind 'relu' carries no weights",
-    "conv-without-bias": "layer 'conv1': conv requires weight and bias spans",
+    "relu-with-weight": "layer 'relu1': unknown key 'weight_offset'",
+    "conv-without-bias": "layer 'conv1': missing key 'bias_offset'",
+    "conv-with-dilation": "layer 'conv1' params: unknown key 'dilation'",
+    "relu-with-stride": "layer 'relu1' params: unknown key 'stride'",
+    "root-extra": "manifest: unknown key 'mean'",
     "negative-dimension": "layer 'conv1': weight_shape must not be negative",
     "root-list": "manifest root must be a JSON object",
     "nested-dimension": "layer 'conv1': weight_shape must be a list of integers, got [[1]]",
@@ -153,6 +162,36 @@ def test_malformed_manifest_rejected(saved_fixture, case):
     with pytest.raises(FormatError) as err:
         load_model(manifest, weights)
     assert str(err.value).startswith(_BROKEN[case])
+
+
+@given(data=st.data())
+def test_a_key_save_model_does_not_write_is_refused(data):
+    # Add one key save_model never writes, at the root, in an entry or in its params, or
+    # delete one it does write: the FormatError names that key and the object it was in.
+    model = build_fixture("random", seed=7)
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest, weights = Path(tmp) / "m.json", Path(tmp) / "m.bin"
+        save_model(model, manifest, weights)
+        doc = json.loads(manifest.read_text())
+        i = data.draw(st.integers(-1, len(doc["layers"]) - 1), label="entry (-1: root)")
+        where = "manifest" if i < 0 else f"layer '{doc['layers'][i]['name']}'"
+        obj = doc if i < 0 else doc["layers"][i]
+        if i >= 0 and data.draw(st.booleans(), label="in params"):
+            obj, where = obj["params"], f"{where} params"
+        added = not obj or data.draw(st.booleans(), label="add")
+        if not added:
+            key = data.draw(st.sampled_from(sorted(obj)), label="deleted")
+            del obj[key]
+        else:
+            key = data.draw(st.text(min_size=1).filter(lambda k: k not in obj), label="added")
+            obj[key] = data.draw(st.sampled_from([0, 1, [1], {}, None]), label="value")
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(FormatError) as err:
+            load_model(manifest, weights)
+    message = str(err.value)
+    assert repr(key) in message if added else key in message
+    # An entry without a name is named by its contents instead.
+    assert message.startswith(where) or key == "name"
 
 
 def test_overlapping_offsets_rejected(saved_fixture):
@@ -279,6 +318,10 @@ def test_build_fixture_validates_arguments():
         build_fixture("random", class_count=11)
     with pytest.raises(ParamError):
         build_fixture("vgg16")
+    # The detector has 2 classes: another count is refused, not silently replaced.
+    assert build_fixture("detector", class_count=2).class_count == 2
+    with pytest.raises(ParamError, match="detector fixture has 2 classes, got 5"):
+        build_fixture("detector", class_count=5)
 
 
 def test_random_fixture_class_count_variants():

@@ -1,11 +1,13 @@
-"""README's library examples run as written, so the README cannot drift from the API."""
+"""README's examples run as written, so the README cannot drift from the API or the format."""
 
+import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 
-from smoothcam import build_fixture
+from smoothcam import build_fixture, forward, load_model, save_model
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -24,3 +26,20 @@ def test_readme_library_example_runs():
     assert randomized.shape == (16, 16) and not np.array_equal(randomized, display)
     assert np.array_equal(scope["model"].layer("conv1").weight,
                           build_fixture("random", seed=7).layer("conv1").weight)
+
+
+def test_readme_model_file_example_loads(tmp_path):
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    manifest, weights = tmp_path / "model.json", tmp_path / "model.bin"
+    manifest.write_text(blocks[0], encoding="utf-8")
+    doc = json.loads(blocks[0])
+    values = sum(math.prod(entry[key]) for entry in doc["layers"]
+                 for key in entry if key.endswith("_shape"))
+    weights.write_bytes(bytes(4 * values))
+    model = load_model(manifest, weights)
+    assert np.array_equal(forward(model, np.ones(model.input_shape)).logits, [0.0, 0.0])
+    # save_model writes the documented layout back, key for key.
+    save_model(model, tmp_path / "again.json", tmp_path / "again.bin")
+    assert json.loads((tmp_path / "again.json").read_text()) == doc
+    assert (tmp_path / "again.bin").read_bytes() == weights.read_bytes()

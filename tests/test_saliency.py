@@ -546,6 +546,8 @@ def test_request_validation():
     for method in ("sensitivity", "smoothgrad"):
         with pytest.raises(ParamError, match="a layer, filters and neuron selections"):
             SaliencyRequest(method=method, layer="conv1")
+        with pytest.raises(ParamError, match="averaged activations, only apply to CAM methods"):
+            SaliencyRequest(method=method, activation_source="averaged")
 
 
 def test_request_is_frozen():
