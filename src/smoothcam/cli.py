@@ -48,12 +48,7 @@ def run_cli(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "explain":
-            _cmd_explain(args)
-        elif args.command == "list-layers":
-            _cmd_list_layers(args)
-        else:
-            _cmd_make_fixture(args)
+        args.run(args)
     except _UsageError as exc:
         message, code = f"usage error: {exc}", EXIT_USAGE
     except (SmoothCamError, OSError) as exc:
@@ -92,10 +87,12 @@ def _build_parser() -> _Parser:
     ex.add_argument("--seed", type=int, help="master seed (non-negative)")
     ex.add_argument("--blend", type=float, default=0.5, help="overlay blend in [0,1]")
     ex.add_argument("--out", required=True, help="output directory")
+    ex.set_defaults(run=_cmd_explain)
 
     ls = sub.add_parser("list-layers", help="print the model's conv layer names")
     ls.add_argument("--model", required=True)
     ls.add_argument("--weights", required=True)
+    ls.set_defaults(run=_cmd_list_layers)
 
     mk = sub.add_parser("make-fixture", help="write a fixture model to disk")
     mk.add_argument("--kind", required=True, choices=["random", "detector"])
@@ -105,6 +102,7 @@ def _build_parser() -> _Parser:
     mk.add_argument("--weights", required=True, help="blob output path")
     mk.add_argument("--scene", default=None,
                     help="optionally write a matching demo input image (PPM)")
+    mk.set_defaults(run=_cmd_make_fixture)
     return parser
 
 

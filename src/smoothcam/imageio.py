@@ -7,6 +7,7 @@ fixed piecewise-linear blue-green-red ramp for the same reason.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,6 +17,9 @@ from .errors import FormatError, NonFiniteMapError, ParamError, ShapeError
 from .tensor import Tensor, as_tensor, integer, ints, real
 
 _WHITESPACE = b" \t\r\n\v\f"
+# "P6", then three fields, each after any run of whitespace and '#' comments (ending at CR or
+# LF). All after "P6" can match empty, so a match past it cannot fail and nothing is retried.
+_HEADER = re.compile(rb"P6" + rb"(?:[ \t\r\n\v\f]|#[^\r\n]*)*(\d*)" * 3)
 
 
 @dataclass(frozen=True)
@@ -41,12 +45,11 @@ class RgbImage:
 def read_ppm(path) -> RgbImage:
     """Parse a binary PPM (magic P6, maxval 255); header comments are allowed."""
     data = Path(path).read_bytes()
-    if data[:2] != b"P6":
+    header = _HEADER.match(data)
+    if header is None:
         raise FormatError("not a binary PPM (expected magic 'P6' at byte offset 0)")
-    pos = 2
-    width, pos = _read_header_int(data, pos)
-    height, pos = _read_header_int(data, pos)
-    maxval, pos = _read_header_int(data, pos)
+    width, height, maxval = (_header_int(header, field) for field in (1, 2, 3))
+    pos = header.end()
     if maxval != 255:
         raise FormatError(f"unsupported maxval {maxval} at byte offset {pos} (only 255)")
     if pos >= len(data) or data[pos] not in _WHITESPACE:
@@ -201,26 +204,11 @@ def _colormap_bytes(values: np.ndarray) -> np.ndarray:
     return np.floor(255.0 * np.stack(channels, axis=-1) + 0.5)
 
 
-def _read_header_int(data: bytes, pos: int) -> tuple[int, int]:
-    pos = _skip_whitespace_and_comments(data, pos)
-    start = pos
-    while pos < len(data) and data[pos : pos + 1].isdigit():
-        pos += 1
-    if pos == start:
+def _header_int(header: re.Match, field: int) -> int:
+    start, digits = header.start(field), header[field]
+    if not digits:
         raise FormatError(f"expected an integer in PPM header at byte offset {start}")
     try:
-        return int(data[start:pos]), pos
+        return int(digits)
     except ValueError:  # more digits than int() will convert
         raise FormatError(f"PPM header integer at byte offset {start} is too long") from None
-
-
-def _skip_whitespace_and_comments(data: bytes, pos: int) -> int:
-    while pos < len(data):
-        if data[pos] in _WHITESPACE:
-            pos += 1
-        elif data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos] not in b"\r\n":
-                pos += 1
-        else:
-            break
-    return pos

@@ -59,10 +59,11 @@ def save_model(model: Model, manifest_path, weights_path) -> None:
 
 
 def load_model(manifest_path, weights_path) -> Model:
-    """Load a manifest + blob pair. Every manifest object must hold exactly the keys
-    `save_model` writes there; each weight span is checked and sliced as its entry is read."""
+    """Load a manifest + blob pair. Every manifest object holds exactly the keys `save_model`
+    writes there, each once; each weight span is checked and sliced as its entry is read."""
     try:
-        doc = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(manifest_path).read_text(encoding="utf-8"),
+                         object_pairs_hook=_each_key_once)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"manifest is not valid UTF-8 JSON: {exc}") from exc
     except RecursionError:
@@ -182,6 +183,16 @@ def detector_scene(quadrant: str = "top-left") -> np.ndarray:
     rs, cs = spans[quadrant]
     img[0, rs, cs] = 1.0
     return img
+
+
+def _each_key_once(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refusing a repeated key (json alone keeps its last value)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise FormatError(f"manifest: key {key!r} appears more than once in one object")
+        obj[key] = value
+    return obj
 
 
 def _exact_keys(obj: dict, keys: tuple[str, ...], where: str) -> None:

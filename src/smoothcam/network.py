@@ -77,7 +77,7 @@ class Model:
 
     def __post_init__(self):
         object.__setattr__(self, "input_shape", ints(self.input_shape, "input shape"))
-        object.__setattr__(self, "class_count", integer(self.class_count, "class count"))
+        object.__setattr__(self, "class_count", integer(self.class_count, "class count", 1))
         validate(self)  # it reads the layers' integer parameters, naming a bad one's layer
         owned = []
         for spec in self.layers:

@@ -73,6 +73,7 @@ def conv2d(
     b = as_tensor(bias)
     kout, hh, ww = conv2d_shape(x.shape, k.shape, b.shape, stride, padding)
     kh, kw = k.shape[2:]
+    stride = min(stride, max(x.shape[1:]) + 2 * padding)  # larger: one window, never applied
     # im2col with one GEMM per output row: each is small enough that OpenBLAS runs it on
     # the calling thread, so its workers sleep instead of spinning through the call.
     taps = _taps(x, kh, kw, stride, hh, ww, padding).reshape(-1, hh, ww)
@@ -138,6 +139,7 @@ def maxpool2d(t: Tensor, size: int, stride: int) -> tuple[Tensor, np.ndarray]:
     x = as_tensor(t)
     c, hh, ww = maxpool2d_shape(x.shape, size, stride)
     h, w = x.shape[1:]
+    stride = min(stride, max(h, w))  # larger: one window, never applied (as in conv2d)
     taps = _taps(x, size, size, stride, hh, ww, 0)
     # hit[:, k]: np.argmax's pick (first maximum, else first NaN) is at tap k or before.
     # top lives to the return: freed early, glibc trims the heap after each wide smoothgrad

@@ -14,8 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import smoothcam
-from smoothcam import (Model, RgbImage, build_fixture, detector_scene, read_ppm, save_model,
-                       saliency, write_ppm)
+from smoothcam import (Model, RgbImage, build_fixture, detector_scene, flatten_layer,
+                       maxpool_layer, read_ppm, save_model, saliency, write_ppm)
 from smoothcam.cli import main, run_cli
 
 
@@ -514,6 +514,52 @@ def test_console_script_refuses_a_manifest_key_save_model_does_not_write(
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: layer 'conv1' params: unknown key 'dilation'"]
     assert not out.exists()
+
+
+def test_console_script_refuses_a_manifest_key_written_twice(tmp_path, model_files, scene_ppm,
+                                                            capsys, monkeypatch):
+    # json.loads alone would keep the second stride, 2, and explain that network.
+    manifest, _ = model_files
+    text = Path(manifest).read_text()
+    params = '"params": {\n        "stride": 1,'
+    assert text.count(params) == 1  # conv1's
+    Path(manifest).write_text(text.replace(params, params + ' "stride": 2,'))
+    out = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", ["smoothcam", *_explain_args(model_files, scene_ppm,
+                                                                  str(out))])
+    with pytest.raises(SystemExit) as done:
+        main()
+    assert done.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: manifest: key 'stride' appears more than once in one object"]
+    assert not out.exists()
+
+
+def _pool_stride_model(stride: int) -> Model:
+    """conv1 -> a 14x14 pool1 with the given stride -> flatten -> dense, on 1x16x16 inputs."""
+    fixture = build_fixture("random", seed=7, class_count=2)
+    conv, dense = fixture.layer("conv1"), fixture.layer("dense1")
+    return Model([conv, maxpool_layer("pool1", 14, stride), flatten_layer("flatten1"),
+                  replace(dense, weight=dense.weight[:, :4])], (1, 16, 16), 2)
+
+
+def test_explain_ignores_a_pool_stride_past_its_one_window(tmp_path, scene_ppm):
+    # A pool over a single window never applies its stride, so 10**30 must give the map
+    # stride 14 gives, not overflow a byte stride.
+    outputs = []
+    for stride in (14, 10**30):
+        manifest, weights = tmp_path / f"{stride}.json", tmp_path / f"{stride}.bin"
+        save_model(_pool_stride_model(stride), manifest, weights)
+        out = tmp_path / f"out{stride}"
+        args = ["explain", "--model", str(manifest), "--weights", str(weights),
+                "--image", scene_ppm, "--method", "smooth-gradcampp", "--layer", "conv1",
+                "--samples", "3", "--seed", "1", "--out", str(out)]
+        assert run_cli(args) == 0
+        outputs.append([(out / name).read_bytes()
+                        for name in ("heatmap.ppm", "overlay.ppm", "map.csv")])
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("method", ["sensitivity", "smoothgrad"])

@@ -94,6 +94,43 @@ def test_read_ppm_rejects_bad_header_end(tmp_path, payload, message):
         read_ppm(_write(tmp_path / "bad.ppm", payload))
 
 
+_PPM_WHITESPACE = st.sampled_from([b" ", b"\t", b"\r", b"\n", b"\v", b"\f"])
+# A comment runs to CR or LF, which also counts as whitespace.
+_PPM_COMMENT = st.builds(lambda body, end: b"#" + body.translate(None, b"\r\n") + end,
+                         st.binary(max_size=8), st.sampled_from([b"\r", b"\n", b"\r\n"]))
+
+
+def _ppm_gap(min_size):
+    return st.lists(st.one_of(_PPM_WHITESPACE, _PPM_COMMENT), min_size=min_size,
+                    max_size=4).map(b"".join)
+
+
+@given(data=st.data(), width=st.integers(1, 4), height=st.integers(1, 4))
+def test_read_ppm_header_grammar(tmp_path_factory, data, width, height):
+    # Whitespace and comments may lead any field (none is needed after P6) and a field may
+    # carry leading zeros; one whitespace byte ends the header and trailing bytes are ignored.
+    draw = data.draw
+    gaps = [draw(_ppm_gap(0 if i == 0 else 1), f"gap {i}") for i in range(3)]
+    zeros = [draw(st.integers(0, 2), f"zeros {i}") for i in range(3)]
+    fields = [b"0" * z + str(v).encode() for z, v in zip(zeros, (width, height, 255))]
+    pixels = draw(st.binary(min_size=3 * width * height, max_size=3 * width * height), "pixels")
+    end = draw(_PPM_WHITESPACE, "end") + pixels + draw(st.binary(max_size=3), "trailing")
+    path = tmp_path_factory.mktemp("ppm") / "h.ppm"
+    img = read_ppm(_write(path, b"P6" + b"".join(g + f for g, f in zip(gaps, fields)) + end))
+    assert (img.width, img.height, img.pixels) == (width, height, pixels)
+    # Junk in place of one field is reported at that field's offset.
+    bad = draw(st.integers(0, 2), "junk field")
+    junk = draw(st.binary(min_size=1, max_size=4).filter(
+        lambda b: not (b[:1].isdigit() or b[:1].isspace() or b[:1] == b"#")), "junk")
+    fields[bad] = junk
+    head = b"P6" + b"".join(g + f for g, f in zip(gaps[: bad + 1], fields[: bad + 1]))
+    offset = len(head) - len(junk)
+    _write(path, head + b"".join(g + f for g, f in zip(gaps[bad + 1 :], fields[bad + 1 :])) + end)
+    with pytest.raises(FormatError, match=f"^expected an integer in PPM header at byte offset "
+                                          f"{offset}$"):
+        read_ppm(path)
+
+
 def test_ppm_roundtrip_is_byte_identical(tmp_path, rng):
     pixels = bytes(rng.integers(0, 256, size=3 * 4 * 3, dtype=np.uint8))
     img = RgbImage(width=4, height=3, pixels=pixels)

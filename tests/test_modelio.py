@@ -134,6 +134,10 @@ def _break_manifest(doc, case):
         relu["params"]["stride"] = 5
     elif case == "root-extra":
         doc["mean"] = [0.5]
+    elif case.endswith("-repeat"):  # json.dumps writes each key of a dict once
+        obj, key = {"root-repeat": (doc, "class_count"), "entry-repeat": (conv, "kind"),
+                    "params-repeat": (conv["params"], "stride")}[case]
+        return _with_repeated_key(doc, obj, key, 2)
     else:
         conv["name"] = "conv\n1"
     return doc
@@ -151,14 +155,24 @@ _BROKEN = {
     "nested-dimension": "layer 'conv1': weight_shape must be a list of integers, got [[1]]",
     "input-shape-string": "manifest: input_shape must be a list of integers, got 'abc'",
     "name-line-break": "layer 0: name 'conv\\n1' holds an unprintable character",
+    "root-repeat": "manifest: key 'class_count' appears more than once in one object",
+    "entry-repeat": "manifest: key 'kind' appears more than once in one object",
+    "params-repeat": "manifest: key 'stride' appears more than once in one object",
 }
+
+
+def _with_repeated_key(doc, obj, key, value) -> str:
+    """doc's JSON text with `key` written a second time, holding `value`, at the end of obj."""
+    marker = "\0repeat"
+    obj[marker] = value
+    return json.dumps(doc).replace(json.dumps(marker), json.dumps(key))
 
 
 @pytest.mark.parametrize("case", sorted(_BROKEN))
 def test_malformed_manifest_rejected(saved_fixture, case):
     manifest, weights = saved_fixture
     doc = _break_manifest(json.loads(manifest.read_text()), case)
-    manifest.write_text(json.dumps(doc))
+    manifest.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     with pytest.raises(FormatError) as err:
         load_model(manifest, weights)
     assert str(err.value).startswith(_BROKEN[case])
@@ -192,6 +206,27 @@ def test_a_key_save_model_does_not_write_is_refused(data):
     assert repr(key) in message if added else key in message
     # An entry without a name is named by its contents instead.
     assert message.startswith(where) or key == "name"
+
+
+@given(data=st.data())
+def test_a_key_written_twice_is_refused(data):
+    # json.loads alone keeps a repeated key's last value, so the key rule would never see
+    # the first; the loader refuses the object instead, whether the values differ or not.
+    model = build_fixture("random", seed=7)
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest, weights = Path(tmp) / "m.json", Path(tmp) / "m.bin"
+        save_model(model, manifest, weights)
+        doc = json.loads(manifest.read_text())
+        i = data.draw(st.integers(-1, len(doc["layers"]) - 1), label="entry (-1: root)")
+        obj = doc if i < 0 else doc["layers"][i]
+        if i >= 0 and obj["params"] and data.draw(st.booleans(), label="in params"):
+            obj = obj["params"]
+        key = data.draw(st.sampled_from(sorted(obj)), label="repeated")
+        value = data.draw(st.sampled_from([obj[key], 0, 2, [1], {}, None]), label="value")
+        manifest.write_text(_with_repeated_key(doc, obj, key, value))
+        with pytest.raises(FormatError) as err:
+            load_model(manifest, weights)
+    assert str(err.value) == f"manifest: key {key!r} appears more than once in one object"
 
 
 def test_overlapping_offsets_rejected(saved_fixture):

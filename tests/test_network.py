@@ -68,6 +68,13 @@ def test_wrong_class_count_rejected():
         Model(layers=layers, input_shape=(1, 2, 2), class_count=5)
 
 
+def test_a_model_without_classes_is_rejected_at_construction():
+    # Every pass over it would fail later, in its first softmax of an empty vector.
+    layers = [flatten_layer("f"), dense_layer("d", np.ones((0, 4)), np.zeros(0))]
+    with pytest.raises(ParamError, match="class count must be an integer >= 1, got 0"):
+        Model(layers=layers, input_shape=(1, 2, 2), class_count=0)
+
+
 @pytest.mark.parametrize("layers, input_shape, message", [
     pytest.param([LayerSpec("probe", "conv3d")], (1, 2, 2), "layer 'probe': unknown kind 'conv3d'",
                  id="unknown-kind"),

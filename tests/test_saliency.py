@@ -38,6 +38,7 @@ from smoothcam import (
     run,
     smooth_triple,
     smoothgrad_map,
+    softmax_layer,
 )
 from smoothcam import gradients, saliency
 from smoothcam.saliency import CAM_METHODS, METHODS
@@ -920,3 +921,20 @@ def test_smoothing_brings_out_the_small_instance(big, small):
     assert peak("gradcampp") >= peak("gradcam")
     for seed in range(5):
         assert peak("smooth-gradcampp", seed) >= 1.5 * peak("gradcampp")
+
+
+@pytest.mark.parametrize("method", ["sensitivity", "smoothgrad", "gradcam", "smooth-gradcampp"])
+def test_a_conv_stride_past_its_input_is_never_applied(method):
+    # A 16x16 kernel on a 16x16 input has one window per axis, so every stride from 16 up
+    # gives one network; 10**30 must not overflow the window gather's byte strides.
+    rng = np.random.default_rng(5)
+    kernels, bias = rng.standard_normal((2, 1, 16, 16)), rng.standard_normal(2)
+    dense_w, dense_b = rng.standard_normal((3, 2)), rng.standard_normal(3)
+    x = rng.random((1, 16, 16))
+    request = SaliencyRequest(method=method, score=ScoreMode("exp-logit", 1), n=4, seed=2,
+                              layer=None if method in ("sensitivity", "smoothgrad") else "conv1")
+    displays = [run(Model([conv_layer("conv1", kernels, bias, stride=stride),
+                           flatten_layer("flatten1"), dense_layer("dense1", dense_w, dense_b),
+                           softmax_layer("softmax1")], (1, 16, 16), 3), x, request).display
+                for stride in (16, 10**30)]
+    assert np.array_equal(*displays)
