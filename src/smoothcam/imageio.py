@@ -35,11 +35,9 @@ class RgbImage:
         object.__setattr__(self, "height", integer(self.height, "height"))
         if self.width < 1 or self.height < 1:
             raise ShapeError(f"image size {self.width}x{self.height} must be positive")
-        if len(self.pixels) != 3 * self.width * self.height:
-            raise ShapeError(
-                f"pixel buffer holds {len(self.pixels)} bytes, "
-                f"expected {3 * self.width * self.height}"
-            )
+        if len(self.pixels) != 3 * self.width * self.height:  # the product can be too long to print
+            raise ShapeError(f"pixel buffer holds {len(self.pixels)} bytes, expected 3 per "
+                             f"pixel of a {self.width}x{self.height} image")
 
 
 def read_ppm(path) -> RgbImage:
@@ -57,11 +55,11 @@ def read_ppm(path) -> RgbImage:
     pos += 1
     if width < 1 or height < 1:
         raise FormatError(f"bad image size {width}x{height} in header")
-    need = 3 * width * height
+    need = 3 * width * height  # not printed: it can pass Python's 4,300-digit int-to-text limit
     if len(data) - pos < need:
         raise FormatError(
-            f"pixel data truncated at byte offset {len(data)}: "
-            f"need {need} bytes from offset {pos}, found {len(data) - pos}"
+            f"pixel data truncated at byte offset {len(data)}: a {width}x{height} image needs "
+            f"3 bytes per pixel from offset {pos}, found {len(data) - pos}"
         )
     return RgbImage(width=width, height=height, pixels=data[pos : pos + need])
 

@@ -64,7 +64,7 @@ def load_model(manifest_path, weights_path) -> Model:
     try:
         doc = json.loads(Path(manifest_path).read_text(encoding="utf-8"),
                          object_pairs_hook=_each_key_once)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an integer past int()'s 4,300 digits
         raise FormatError(f"manifest is not valid UTF-8 JSON: {exc}") from exc
     except RecursionError:
         raise FormatError("manifest nests too deeply to parse") from None

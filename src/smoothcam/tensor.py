@@ -223,7 +223,7 @@ def add_gaussian_noise(t: Tensor, sigma: float, rng: np.random.Generator) -> Ten
 
 
 def bilinear_resize(values: Tensor, target_h: int, target_w: int) -> Tensor:
-    """Resize a 2-D map with half-pixel-center bilinear interpolation.
+    """Resize a 2-D map with half-pixel-center bilinear interpolation, one axis at a time.
 
     Each destination index d samples the source at
     (d + 0.5) * (src_dim / dst_dim) - 0.5, clamped to [0, src_dim - 1].
@@ -245,9 +245,8 @@ def bilinear_resize(values: Tensor, target_h: int, target_w: int) -> Tensor:
     c1 = np.minimum(c0 + 1, w - 1)
     fr = rows - r0
     fc = cols - c0
-    top = src[np.ix_(r0, c0)] * (1.0 - fc) + src[np.ix_(r0, c1)] * fc
-    bottom = src[np.ix_(r1, c0)] * (1.0 - fc) + src[np.ix_(r1, c1)] * fc
-    return top * (1.0 - fr)[:, None] + bottom * fr[:, None]
+    across = src[:, c0] * (1.0 - fc) + src[:, c1] * fc  # each source row, once
+    return across[r0] * (1.0 - fr)[:, None] + across[r1] * fr[:, None]
 
 
 def _source_coords(src_dim: int, dst_dim: int) -> np.ndarray:

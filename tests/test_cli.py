@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import smoothcam
@@ -537,6 +537,34 @@ def test_console_script_refuses_a_manifest_key_written_twice(tmp_path, model_fil
     assert not out.exists()
 
 
+@pytest.mark.parametrize("broken", ["ppm-width", "manifest-class-count"])
+def test_console_script_refuses_an_integer_too_long_for_text(tmp_path, model_files, scene_ppm,
+                                                             capsys, monkeypatch, broken):
+    # Python turns no integer of more than 4,300 digits into text or back: a PPM whose pixel
+    # count is that long, or a manifest holding such an integer, ends in one error line.
+    manifest, _ = model_files
+    if broken == "ppm-width":
+        Path(scene_ppm).write_bytes(b"P6 " + b"9" * 4300 + b" 9 255\n" + bytes(48))
+        expected = "error: pixel data truncated at byte offset"
+    else:
+        text = Path(manifest).read_text()
+        assert text.count('"class_count": 10,') == 1
+        Path(manifest).write_text(text.replace('"class_count": 10,',
+                                               f'"class_count": {"1" * 4301},'))
+        expected = "error: manifest is not valid UTF-8 JSON: "
+    out = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", ["smoothcam", *_explain_args(model_files, scene_ppm,
+                                                                  str(out))])
+    with pytest.raises(SystemExit) as done:
+        main()
+    assert done.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith(expected)
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def _pool_stride_model(stride: int) -> Model:
     """conv1 -> a 14x14 pool1 with the given stride -> flatten -> dense, on 1x16x16 inputs."""
     fixture = build_fixture("random", seed=7, class_count=2)
@@ -763,6 +791,7 @@ def test_list_layers_survives_any_manifest_field(data):
 
 @given(field=st.sampled_from(["magic", "width", "height", "maxval"]),
        value=st.just(_DELETE) | _JSON)
+@example(field="width", value="9" * 4300)  # 3 * width * height is too long to print
 def test_explain_survives_any_ppm_header_field(field, value):
     tokens = {"magic": "P6", "width": "16", "height": "16", "maxval": "255"}
     if value is _DELETE:

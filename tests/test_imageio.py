@@ -389,6 +389,8 @@ def test_image_constructor_validates():
         RgbImage(width=2, height=2, pixels=bytes(5))
     with pytest.raises(ShapeError):
         RgbImage(width=0, height=2, pixels=b"")
+    with pytest.raises(ShapeError):  # 3 * width * height has more digits than Python prints
+        RgbImage(width=int("9" * 4300), height=9, pixels=b"")
 
 
 @pytest.mark.parametrize("width, height", [(2.0, 2), (2, True), ("2", 2), (None, 2)],

@@ -138,6 +138,8 @@ def _break_manifest(doc, case):
         obj, key = {"root-repeat": (doc, "class_count"), "entry-repeat": (conv, "kind"),
                     "params-repeat": (conv["params"], "stride")}[case]
         return _with_repeated_key(doc, obj, key, 2)
+    elif case == "class-count-digits":  # past int()'s 4,300 digits, so json.loads cannot read it
+        return json.dumps(doc).replace('"class_count": 10,', f'"class_count": {"1" * 4301},')
     else:
         conv["name"] = "conv\n1"
     return doc
@@ -158,6 +160,7 @@ _BROKEN = {
     "root-repeat": "manifest: key 'class_count' appears more than once in one object",
     "entry-repeat": "manifest: key 'kind' appears more than once in one object",
     "params-repeat": "manifest: key 'stride' appears more than once in one object",
+    "class-count-digits": "manifest is not valid UTF-8 JSON: ",
 }
 
 

@@ -886,6 +886,50 @@ def test_dead_conv1_filter_keeps_the_maps(random_model, rng, method):
                          run(random_model, x, _request(method, filters=chosen)))
 
 
+def _rescaled(model, layer, k, a):
+    """model with filter k of conv `layer` (kernel and bias) scaled by a, and the next conv's
+    input channel k, or dense1's column block k, divided by a."""
+    i = model.layer_index(layer)
+    weight, bias = model.layers[i].weight.copy(), model.layers[i].bias.copy()
+    weight[k] *= a
+    bias[k] *= a
+    reader = next(s for s in model.layers[i + 1:] if s.kind in ("conv", "dense"))
+    read = reader.weight.copy()
+    if reader.kind == "conv":
+        read[:, k] /= a
+    else:  # flatten lays the maps out one channel block after another
+        read.reshape(len(read), len(bias), -1)[:, k] /= a
+    return _with_layers(model, **{layer: {"weight": weight, "bias": bias},
+                                  reader.name: {"weight": read}})
+
+
+@pytest.mark.parametrize("draw", range(12))
+@pytest.mark.parametrize("name", ["random", "strided"])
+def test_rescaling_a_filter_against_its_reader_keeps_the_maps(random_model, strided_model, rng,
+                                                              name, draw):
+    # Reparametrization: ReLU and max-pooling commute with a positive scale, so scaling one
+    # conv filter by a = 2**j and dividing what reads its channel by a computes the same
+    # function, and a power of two scales each product exactly. The input-space maps, gradcam
+    # at every conv and the CAM++ maps at every other conv keep every byte. The CAM++ maps at
+    # the rescaled conv itself move: alpha's total(A_k) * d3 term is not scale-free.
+    model = {"random": random_model, "strided": strided_model}[name]
+    convs = [spec.name for spec in model.layers if spec.kind == "conv"]
+    pick = np.random.default_rng(draw)
+    layer = convs[pick.integers(len(convs))]
+    k = int(pick.integers(len(model.layer(layer).bias)))
+    a = 2.0 ** (int(pick.integers(1, 11)) * int(pick.choice([-1, 1])))
+    rescaled, x = _rescaled(model, layer, k, a), rng.random(model.input_shape)
+    targets = [("sensitivity", None), ("smoothgrad", None)]
+    targets += [("gradcam", conv) for conv in convs]
+    targets += [(method, conv) for method in ("gradcampp", "smooth-gradcampp")
+                for conv in convs if conv != layer]
+    for method, conv in targets:
+        request = replace(_request(method), layer=conv)
+        before, after = run(model, x, request), run(rescaled, x, request)
+        assert (after.raw.tobytes(), after.display.tobytes(), after.chosen_class) == (
+            before.raw.tobytes(), before.display.tobytes(), before.chosen_class), (method, conv)
+
+
 # ---------------------------------------------------------------------------
 # multiple instances (the source paper's headline claim)
 # ---------------------------------------------------------------------------
