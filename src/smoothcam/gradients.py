@@ -77,6 +77,7 @@ def grad_wrt_layer(model: Model, trace: ActivationTrace, score: ScoreMode, layer
 
 def grad_wrt_input(model: Model, input: Tensor, score: ScoreMode) -> Tensor:
     """Gradient of the class score with respect to the input (a sensitivity map)."""
+    score.check_class(model.class_count)  # a class the model lacks costs no pass
     return _sweep(model, forward(model, input), score, -1)
 
 

@@ -230,8 +230,7 @@ def postprocess(raw_map: Tensor, input_h: int, input_w: int) -> np.ndarray:
 
 
 def run(model: Model, input: Tensor, request: SaliencyRequest) -> SaliencyMap:
-    """Dispatch a request to its method pipeline and return the finished map."""
-    check_target(model, request)
+    """Dispatch a request to its method pipeline, whose clean pass checks it first."""
     x = as_tensor(input)
     if request.method not in CAM_METHODS:
         return smoothgrad_map(model, x, request)
@@ -266,7 +265,8 @@ def _finished(model: Model, request: SaliencyRequest, raw: np.ndarray, c: int) -
 
 
 def _clean_pass(model: Model, x: np.ndarray, request: SaliencyRequest):
-    """The un-noised trace and its class, after refusing an input with NaN or infinity."""
+    """The un-noised trace and its class, after refusing a bad target, then a non-finite input."""
+    check_target(model, request)
     bad = np.count_nonzero(~np.isfinite(x))
     if bad:
         raise ParamError(f"input holds {bad} NaN or infinite values of {x.size}")
@@ -304,7 +304,7 @@ def _average(model: Model, x: Tensor, request: SaliencyRequest, per_sample):
 
 def check_target(model: Model, request: SaliencyRequest) -> None:
     """Raise a request's class index error, or a CAM request's layer, filter index or neuron
-    selection error, before any pass."""
+    selection error: the clean pass runs it before its forward, `explain` before the image."""
     request.score.check_class(model.class_count)
     if request.method in CAM_METHODS:
         conv = model.layers[model.conv_index(request.layer)]

@@ -154,12 +154,15 @@ def test_usage_errors_print_one_line(tmp_path, model_files, scene_ppm, capsys, a
 ])
 def test_bad_target_fails_before_any_pass(tmp_path, model_files, scene_ppm, capsys, monkeypatch,
                                           extra, message):
-    passes = []
+    # explain's own check refuses each --filters index before any per-filter job, and before
+    # the image is read.
+    passes, reads = [], []
     for module in (saliency, smoothcam.cli):
         monkeypatch.setattr(module, "forward", lambda *args, **kwargs: passes.append(args))
+    monkeypatch.setattr(smoothcam.cli.imageio, "read_ppm", lambda *args: reads.append(args))
     out = tmp_path / "out"
     assert run_cli(_explain_args(model_files, scene_ppm, str(out), extra=extra)) == 2
-    assert passes == []
+    assert passes == [] and reads == []
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(message)
     assert not out.exists()

@@ -3,11 +3,12 @@
 import json
 import math
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 
-from smoothcam import build_fixture, forward, load_model, save_model
+from smoothcam import build_fixture, cli, forward, load_model, save_model
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -43,3 +44,19 @@ def test_readme_model_file_example_loads(tmp_path):
     save_model(model, tmp_path / "again.json", tmp_path / "again.bin")
     assert json.loads((tmp_path / "again.json").read_text()) == doc
     assert (tmp_path / "again.bin").read_bytes() == weights.read_bytes()
+
+
+def test_readme_cli_walkthrough_runs(tmp_path, monkeypatch, capsys):
+    (block,) = re.findall(r"## CLI walkthrough\n\n```sh\n(.*?)```",
+                          README.read_text(encoding="utf-8"), re.S)
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line and not line.startswith("#")]
+    assert [command[0] for command in commands] == ["smoothcam"] * 3
+    monkeypatch.chdir(tmp_path)
+    printed = []
+    for command in commands:
+        assert cli.run_cli(command[1:]) == 0, command
+        printed.append(capsys.readouterr().out)
+    assert "conv1" in printed[1].split()
+    for name in ("heatmap.ppm", "overlay.ppm", "map.csv"):
+        assert (tmp_path / "out" / name).is_file(), name

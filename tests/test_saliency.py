@@ -28,10 +28,12 @@ from smoothcam import (
     dense_layer,
     flatten_layer,
     forward,
+    grad_wrt_input,
     grad_wrt_layer,
     gradcam_weights,
     gradcampp_weights,
     higher_order_triple,
+    list_conv_layers,
     maxpool_layer,
     postprocess,
     relu_layer,
@@ -39,6 +41,7 @@ from smoothcam import (
     smooth_triple,
     smoothgrad_map,
     softmax_layer,
+    validate,
 )
 from smoothcam import gradients, saliency
 from smoothcam.saliency import CAM_METHODS, METHODS
@@ -378,15 +381,37 @@ def test_empty_coordinate_list_yields_zero_map(random_model, rng):
 # ---------------------------------------------------------------------------
 
 
-def test_smoothgrad_degenerate_equals_sensitivity(random_model, rng):
-    x = rng.random((1, 16, 16))
-    smooth = SaliencyRequest(method="smoothgrad", score=ScoreMode("exp-logit", 2),
-                             n=1, sigma_rel=0.0, seed=4)
-    plain = SaliencyRequest(method="sensitivity", score=ScoreMode("exp-logit", 2), seed=4)
-    a = smoothgrad_map(random_model, x, smooth)
-    b = smoothgrad_map(random_model, x, plain)
-    assert np.max(np.abs(a.raw - b.raw)) < 1e-10
-    assert np.max(np.abs(a.display - b.display)) < 1e-10
+def _assert_one_sample_identity(models, requests):
+    """run maps each of requests(model) byte for byte as its smoothed twin with one noise-free
+    sample does, raw, display and class, on three inputs to each model."""
+    twin = {"sensitivity": "smoothgrad", "gradcampp": "smooth-gradcampp"}
+    for k, model in enumerate(models):
+        for plain in requests(model):
+            smoothed = replace(plain, method=twin[plain.method], n=1, sigma_rel=0.0)
+            for draw in range(3):
+                x = np.random.default_rng(draw).random(model.input_shape)
+                a, b = run(model, x, plain), run(model, x, smoothed)
+                assert (a.raw.tobytes(), a.display.tobytes(), a.chosen_class) == (
+                    b.raw.tobytes(), b.display.tobytes(), b.chosen_class), (k, draw, plain)
+
+
+def test_smoothgrad_degenerate_equals_sensitivity(random_model, detector_model, strided_model):
+    _assert_one_sample_identity((random_model, detector_model, strided_model), lambda model: [
+        SaliencyRequest(method="sensitivity", score=ScoreMode(mode))
+        for mode in ("exp-logit", "raw-logit")])
+
+
+def test_smooth_gradcampp_degenerate_equals_gradcampp(random_model, detector_model,
+                                                       strided_model):
+    def requests(model):
+        for layer in list_conv_layers(model):
+            _, h, w = validate(model)[layer]
+            plain = SaliencyRequest(method="gradcampp", layer=layer)
+            yield plain
+            yield replace(plain, neurons=NeuronSelection(box=(1, 1, h - 2, w - 2)))
+            yield replace(plain, filters=(0, 1))
+
+    _assert_one_sample_identity((random_model, detector_model, strided_model), requests)
 
 
 def test_smoothgrad_constant_gradient_model_is_noise_free(rng):
@@ -644,6 +669,29 @@ def test_public_entry_points_refuse_a_non_finite_input_before_any_pass(random_mo
     layer = {"layer": "conv1"} if method in CAM_METHODS else {}
     with pytest.raises(ParamError, match="input holds 1 NaN or infinite values of 256"):
         entry(random_model, x, SaliencyRequest(method=method, n=3, **layer))
+    assert passes == []
+
+
+@pytest.mark.parametrize("entry, method, changes, error, message", [
+    *[pytest.param(smooth_triple, method, *case, id=f"smooth_triple-{method}-{name}")
+      for method in ("gradcampp", "smooth-gradcampp") for name, case in _BAD_TARGETS.items()],
+    *[pytest.param(smoothgrad_map, method, *_BAD_TARGETS["class"], id=f"smoothgrad_map-{method}")
+      for method in ("sensitivity", "smoothgrad")],
+    pytest.param(lambda model, x, request: grad_wrt_input(model, x, request.score),
+                 "sensitivity", *_BAD_TARGETS["class"], id="grad_wrt_input"),
+])
+def test_public_entry_points_reject_a_bad_target_before_any_pass(random_model, rng, monkeypatch,
+                                                                  entry, method, changes, error,
+                                                                  message):
+    # Each refused a bad class only after a forward pass, and smooth_triple never refused a
+    # filter index or neuron selection its layer cannot hold.
+    passes = []
+    for module in (saliency, gradients):
+        monkeypatch.setattr(module, "forward", lambda *args, **kwargs: passes.append(args))
+    layer = {"layer": "conv1"} if method in CAM_METHODS else {}
+    request = SaliencyRequest(method=method, **{**layer, "n": 3, **changes})
+    with pytest.raises(error, match=re.escape(message)):
+        entry(random_model, rng.random(random_model.input_shape), request)
     assert passes == []
 
 
