@@ -158,10 +158,8 @@ def _cmd_make_fixture(args) -> None:
             scene = rng.random(model.input_shape)
         gray = np.floor(255.0 * np.clip(as_tensor(scene)[0], 0.0, 1.0) + 0.5).astype(np.uint8)
         pixels = np.repeat(gray[:, :, None], 3, axis=2).tobytes()
-        imageio.write_ppm(
-            imageio.RgbImage(width=gray.shape[1], height=gray.shape[0], pixels=pixels),
-            args.scene,
-        )
+        image = imageio.RgbImage(width=gray.shape[1], height=gray.shape[0], pixels=pixels)
+        imageio.write_ppm(image, args.scene)
 
 
 def _parse_request(args) -> tuple[SaliencyRequest, float]:

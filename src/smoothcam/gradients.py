@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ParamError
 from .network import KINDS, ActivationTrace, Model, forward, logits_layer_index
-from .tensor import Tensor, as_tensor, integer, softmax
+from .tensor import Tensor, as_tensor, finite, integer, real, softmax
 
 SCORE_MODES = ("raw-logit", "exp-logit", "probability")
 
@@ -48,12 +48,13 @@ class ScoreMode:
         return c
 
     def value(self, logits: Tensor, class_index: int) -> float:
-        """This mode's score of a resolved class, computed from the logits."""
+        """This mode's score of a class, an integer that check_class reads against the logits."""
+        c = ScoreMode(self.mode, integer(class_index, "class index")).check_class(np.size(logits))
         if self.mode == "raw-logit":
-            return float(logits[class_index])
+            return float(logits[c])
         if self.mode == "exp-logit":
-            return float(np.exp(logits[class_index]))
-        return float(softmax(logits)[class_index])
+            return float(np.exp(logits[c]))
+        return float(softmax(logits)[c])
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,8 +78,8 @@ def grad_wrt_layer(model: Model, trace: ActivationTrace, score: ScoreMode, layer
 
 def grad_wrt_input(model: Model, input: Tensor, score: ScoreMode) -> Tensor:
     """Gradient of the class score with respect to the input (a sensitivity map)."""
-    score.check_class(model.class_count)  # a class the model lacks costs no pass
-    return _sweep(model, forward(model, input), score, -1)
+    score.check_class(model.class_count)  # a class the model lacks, or a NaN, costs no pass
+    return _sweep(model, forward(model, finite(input, "input")), score, -1)
 
 
 def higher_order_triple(g: Tensor, logit: float, mode: str = "exp-logit") -> GradientTriple:
@@ -92,10 +93,10 @@ def higher_order_triple(g: Tensor, logit: float, mode: str = "exp-logit") -> Gra
     """
     if ScoreMode(mode).mode == "probability":
         raise ParamError("higher-order stacks are not supported for probability scores")
-    g = as_tensor(g)
+    g, logit = as_tensor(g), float(real(logit, "logit"))
     if mode == "raw-logit":
         return GradientTriple(g.copy(), np.zeros_like(g), np.zeros_like(g))
-    d1 = np.exp(float(logit)) * g
+    d1 = np.exp(logit) * g
     d2 = d1 * g
     return GradientTriple(d1, d2, d2 * g)
 
@@ -129,8 +130,8 @@ def finite_diff_input_grad(
 
 
 def _central_diff(model, trace, score, start_index, base, h):
-    if not h > 0:
-        raise ParamError(f"step h must be > 0, got {h}")
+    if not 0 < real(h, "step h") < np.inf:
+        raise ParamError(f"step h must be finite and > 0, got {h}")
     c = score.resolve_class(trace)
     probe = base.copy()
     flat = probe.reshape(-1)

@@ -31,6 +31,8 @@ class RgbImage:
     pixels: bytes
 
     def __post_init__(self):
+        if not isinstance(self.pixels, bytes):
+            raise ParamError(f"pixel buffer must be bytes, got {type(self.pixels).__name__}")
         object.__setattr__(self, "width", integer(self.width, "width"))
         object.__setattr__(self, "height", integer(self.height, "height"))
         if self.width < 1 or self.height < 1:
@@ -67,15 +69,12 @@ def read_ppm(path) -> RgbImage:
 def write_ppm(img: RgbImage, path) -> None:
     """Write the canonical P6 form (single-space header, maxval 255)."""
     header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
-    _write_new(path, header + img.pixels)
+    write_new(path, header + img.pixels)
 
 
-def _write_new(path, data: bytes) -> None:
-    """Write data as a new file, first removing any file or symlink at path.
-
-    Rewriting an existing file in place can wait on a filesystem flush (tens
-    of ms on ext4), and a symlink would be written through.
-    """
+def write_new(path, data: bytes) -> None:
+    """Write data as a new file, first removing any file or symlink at path: rewriting a file
+    in place can wait on a filesystem flush (tens of ms on ext4), and writes through a symlink."""
     path = Path(path)
     path.unlink(missing_ok=True)
     path.write_bytes(data)
@@ -107,7 +106,7 @@ def colormap(v: float) -> tuple[int, int, int]:
     R = clamp(1.5 - |4v - 3|), G = clamp(1.5 - |4v - 2|), B = clamp(1.5 - |4v - 1|),
     each clamped to [0,1] and quantized with round-half-away-from-zero.
     """
-    r, g, b = _colormap_bytes(np.array(float(v)))
+    r, g, b = _colormap_bytes(np.array(float(real(v, "colormap value"))))
     return int(r), int(g), int(b)
 
 
@@ -151,6 +150,8 @@ def write_map_csv(values: Tensor, path, header: str | None = None) -> None:
     arr = np.atleast_2d(as_tensor(values))
     if arr.ndim > 2:
         raise ShapeError(f"a map CSV holds a 2-D map, got shape {arr.shape}")
+    if header is not None and ("\r" in header or "\n" in header):
+        raise ParamError(f"a map CSV header must hold no CR or LF, got {header!r}")
     lines = [] if header is None else ["# " + header]
     if arr.size and not np.signbit(arr).any() and (arr <= 1.0).all():
         text = "".join(line + "\n" for line in lines).encode("utf-8")
@@ -158,7 +159,7 @@ def write_map_csv(values: Tensor, path, header: str | None = None) -> None:
     else:
         lines += [",".join(["%.9f"] * len(row)) % tuple(row) for row in arr]
         text = ("\n".join(lines) + "\n").encode("utf-8")
-    _write_new(path, text)
+    write_new(path, text)
 
 
 # "%.9f" text of q = round(v * 1e9) for v in [0, 1], as three 4-byte words:

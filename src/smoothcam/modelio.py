@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ParamError
+from .imageio import write_new
 from .network import (
     KINDS,
     LayerSpec,
@@ -35,7 +36,7 @@ _ITEM_BYTES = 4  # float32 storage
 
 
 def save_model(model: Model, manifest_path, weights_path) -> None:
-    """Write the manifest JSON and float32 weight blob for a model."""
+    """Write the manifest JSON and float32 weight blob for a model, each as a new file."""
     layers = []
     blob = bytearray()
     for spec in model.layers:
@@ -54,8 +55,8 @@ def save_model(model: Model, manifest_path, weights_path) -> None:
         "class_count": model.class_count,
         "layers": layers,
     }
-    Path(manifest_path).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    Path(weights_path).write_bytes(bytes(blob))
+    write_new(manifest_path, (json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
+    write_new(weights_path, bytes(blob))
 
 
 def load_model(manifest_path, weights_path) -> Model:

@@ -17,9 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonConvLayerError, ParamError, ShapeError, SmoothCamError, UnknownLayerError
-from .tensor import (Tensor, as_tensor, conv2d, conv2d_shape, dense, dense_shape, integer, ints,
-                     maxpool2d, maxpool2d_shape, relu, softmax, softmax_shape)
+from .errors import NonConvLayerError, ShapeError, SmoothCamError, UnknownLayerError
+from .tensor import (Tensor, as_tensor, conv2d, conv2d_shape, dense, dense_shape, finite, integer,
+                     ints, maxpool2d, maxpool2d_shape, relu, softmax, softmax_shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,8 +67,8 @@ class Model:
     Construction reads every integer with `tensor.integer` and runs shape
     inference end to end, so an invalid model fails here rather than
     mid-forward. It keeps its own checked copies of the layers (plain-int
-    parameters; private, read-only float64 arrays, where NaN or infinity raises
-    ParamError) and leaves the caller's specs as they were.
+    parameters; private, read-only float64 arrays, read by `tensor.finite`) and
+    leaves the caller's specs as they were.
     """
 
     layers: tuple[LayerSpec, ...]
@@ -83,9 +83,8 @@ class Model:
         for spec in self.layers:
             kept = {a: integer(getattr(spec, a), a) for a in KINDS[spec.kind].params}
             for attr in KINDS[spec.kind].arrays:  # validate has seen each one's shape
-                arr = kept[attr] = np.array(getattr(spec, attr), dtype=np.float64, order="C")
-                if not np.isfinite(arr).all():
-                    raise ParamError(f"layer '{spec.name}': {attr} values must be finite")
+                arr = kept[attr] = finite(np.array(getattr(spec, attr), dtype=np.float64,
+                                                   order="C"), f"layer '{spec.name}': {attr}")
                 arr.flags.writeable = False
             owned.append(replace(spec, **kept))
         object.__setattr__(self, "layers", tuple(owned))

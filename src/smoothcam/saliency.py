@@ -26,7 +26,8 @@ from .gradients import (
     higher_order_triple,
 )
 from .network import Model, forward, validate
-from .tensor import Tensor, add_gaussian_noise, as_tensor, bilinear_resize, integer, ints, real
+from .tensor import (Tensor, add_gaussian_noise, as_tensor, bilinear_resize, finite, integer, ints,
+                     real)
 
 METHODS = ("sensitivity", "smoothgrad", "gradcam", "gradcampp", "smooth-gradcampp")
 CAM_METHODS = ("gradcam", "gradcampp", "smooth-gradcampp")
@@ -267,10 +268,7 @@ def _finished(model: Model, request: SaliencyRequest, raw: np.ndarray, c: int) -
 def _clean_pass(model: Model, x: np.ndarray, request: SaliencyRequest):
     """The un-noised trace and its class, after refusing a bad target, then a non-finite input."""
     check_target(model, request)
-    bad = np.count_nonzero(~np.isfinite(x))
-    if bad:
-        raise ParamError(f"input holds {bad} NaN or infinite values of {x.size}")
-    base = forward(model, x)
+    base = forward(model, finite(x, "input"))
     return base, request.score.resolve_class(base)
 
 

@@ -44,6 +44,15 @@ def real(value, what: str):
     return value
 
 
+def finite(values, what: str) -> Tensor:
+    """values as a float64 tensor, or ParamError counting its NaN and infinite values."""
+    x = as_tensor(values)
+    if not np.isfinite(x).all():
+        raise ParamError(f"{what} holds {np.count_nonzero(~np.isfinite(x))} NaN or infinite "
+                         f"values of {x.size}")
+    return x
+
+
 def ints(values, what: str, count: int | None = None) -> tuple[int, ...]:
     """A tuple of `integer`s: exactly `count` of them, else at least one; else ParamError."""
     try:

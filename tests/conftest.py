@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 from smoothcam import (Model, build_fixture, conv_layer, dense_layer, detector_scene,
-                       flatten_layer, maxpool_layer, relu_layer)
+                       flatten_layer, forward, maxpool_layer, relu_layer)
 
 # When a property fails, Hypothesis imports this module, and libcst's import of it raises a
 # mypy_extensions DeprecationWarning. pyproject turns that into an error, which pytest reports
@@ -22,6 +23,31 @@ with warnings.catch_warnings():
 settings.register_profile("smoothcam", derandomize=True, deadline=None, max_examples=100,
                           database=None)
 settings.load_profile("smoothcam")
+
+
+@pytest.fixture
+def forward_passes(monkeypatch):
+    """Call it to see every forward pass: it returns the list of each pass's arguments.
+
+    `forward` is rebound under every name that refers to it in every loaded smoothcam module,
+    as perfbench/tracer.py does, so a pass that moves to another module is still seen. Each
+    pass runs `around(forward, *args, **kwargs)`, which by default just makes the pass.
+    """
+    def install(around=lambda forward, *args, **kwargs: forward(*args, **kwargs)):
+        passes = []
+
+        def recorded(*args, **kwargs):
+            passes.append(args)
+            return around(forward, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if module is not None and (name == "smoothcam" or name.startswith("smoothcam.")):
+                for attr, value in list(vars(module).items()):
+                    if value is forward:
+                        monkeypatch.setattr(module, attr, recorded)
+        return passes
+
+    return install
 
 
 @pytest.fixture

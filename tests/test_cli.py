@@ -153,12 +153,10 @@ def test_usage_errors_print_one_line(tmp_path, model_files, scene_ppm, capsys, a
                  "error: class index 10 out of range [0, 10)", id="class-filters"),
 ])
 def test_bad_target_fails_before_any_pass(tmp_path, model_files, scene_ppm, capsys, monkeypatch,
-                                          extra, message):
+                                          forward_passes, extra, message):
     # explain's own check refuses each --filters index before any per-filter job, and before
     # the image is read.
-    passes, reads = [], []
-    for module in (saliency, smoothcam.cli):
-        monkeypatch.setattr(module, "forward", lambda *args, **kwargs: passes.append(args))
+    passes, reads = forward_passes(), []
     monkeypatch.setattr(smoothcam.cli.imageio, "read_ppm", lambda *args: reads.append(args))
     out = tmp_path / "out"
     assert run_cli(_explain_args(model_files, scene_ppm, str(out), extra=extra)) == 2

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from smoothcam import (
     relu_layer,
     softmax_layer,
 )
+from smoothcam.gradients import SCORE_MODES
 from smoothcam.network import KINDS
 
 
@@ -230,6 +232,16 @@ def test_triple_probability_mode_declined():
         higher_order_triple(np.ones((1, 1, 1)), 0.0, "probability")
 
 
+@pytest.mark.parametrize("logit", ["2", True, None], ids=["text", "bool", "none"])
+@pytest.mark.parametrize("mode", ["exp-logit", "raw-logit"])
+def test_triple_logit_must_be_a_real_number(mode, logit):
+    # "2" gave exp(2)·g and True e·g; None was a bare TypeError, or accepted by raw-logit.
+    with pytest.raises(ParamError, match="logit must be a real number"):
+        higher_order_triple(np.ones((1, 2, 2)), logit, mode)
+    t = higher_order_triple(np.ones((1, 2, 2)), np.float32(0.0), mode)
+    assert t.d1.tolist() == [[[1.0, 1.0], [1.0, 1.0]]]
+
+
 def test_triple_algebraic_consistency(random_model, rng):
     trace = forward(random_model, rng.random((1, 16, 16)))
     g = grad_wrt_layer(random_model, trace, ScoreMode("raw-logit", 2), "conv1")
@@ -288,6 +300,32 @@ def test_finite_diff_rejects_bad_step(random_model, rng):
 def test_input_errors(random_model, rng, call):
     with pytest.raises(ParamError):
         call(random_model, forward(random_model, rng.random(random_model.input_shape)))
+
+
+@pytest.mark.parametrize("h", [True, "0.1", None, np.inf], ids=["bool", "text", "none", "inf"])
+@pytest.mark.parametrize("oracle", ["layer", "input"])
+def test_finite_diff_step_must_be_a_finite_real_number(random_model, rng, oracle, h):
+    # True ran with a step of 1.0; text and None raised a bare TypeError.
+    trace = forward(random_model, rng.random(random_model.input_shape))
+    layer = ("conv1",) if oracle == "layer" else ()
+    call = finite_diff_layer_grad if oracle == "layer" else finite_diff_input_grad
+    with pytest.raises(ParamError, match="step h must be"):
+        call(random_model, trace, ScoreMode("raw-logit", 0), *layer, h=h)
+
+
+@pytest.mark.parametrize("c, message", [
+    (-1, "class index -1 out of range [0, 10)"), (10, "class index 10 out of range [0, 10)"),
+    (True, "class index must be an integer, got True"),
+    (2.0, "class index must be an integer, got 2.0"), ("1", "class index must be an integer"),
+    (None, "class index must be an integer, got None"),
+], ids=["negative", "past-end", "bool", "float", "text", "none"])
+@pytest.mark.parametrize("mode", SCORE_MODES)
+def test_score_value_reads_its_class_by_the_class_rule(mode, c, message):
+    # -1 scored the last class; the others ended in a bare TypeError or IndexError.
+    with pytest.raises(ParamError, match=re.escape(message)):
+        ScoreMode(mode).value(np.arange(10.0), c)
+    assert ScoreMode(mode).value(np.arange(10.0), np.int64(9)) == ScoreMode(mode).value(
+        np.arange(10.0), 9)
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,14 @@ def test_colormap_rejects_nan():
         colormap(float("nan"))
 
 
+@pytest.mark.parametrize("v", ["0.5", True, None], ids=["text", "bool", "none"])
+def test_colormap_value_must_be_a_real_number(v):
+    # "0.5" gave (128, 255, 128) and True gave (128, 0, 0).
+    with pytest.raises(ParamError, match="colormap value must be a real number"):
+        colormap(v)
+    assert colormap(np.float32(0.5)) == (128, 255, 128) and colormap(1) == (128, 0, 0)
+
+
 def test_colormap_clamps_out_of_range():
     assert colormap(-3.0) == colormap(0.0)
     assert colormap(42.0) == colormap(1.0)
@@ -304,6 +312,15 @@ def test_csv_header_comment(tmp_path):
     assert lines[1] == "1.000000000"
 
 
+@pytest.mark.parametrize("header", ["a\nb", "a\rb", "a\r\n", "\n"])
+def test_csv_header_with_a_line_break_is_refused(tmp_path, header):
+    # "a\nb" wrote a second line "b", which np.loadtxt cannot read as a row.
+    path = tmp_path / "map.csv"
+    with pytest.raises(ParamError, match="header must hold no CR or LF"):
+        write_map_csv(np.array([[1.0]]), path, header=header)
+    assert not path.exists()
+
+
 def _per_value_csv(values, header=None) -> bytes:
     """The writer's oracle: one f"{v:.9f}" per value."""
     lines = [] if header is None else ["# " + header]
@@ -387,6 +404,10 @@ def test_exact_tie_rounds_to_even(tmp_path):
 def test_image_constructor_validates():
     with pytest.raises(ShapeError):
         RgbImage(width=2, height=2, pixels=bytes(5))
+    # A list was accepted, and write_ppm then raised "can't concat list to bytes".
+    for pixels in ([0] * 12, bytearray(12), "x" * 12):
+        with pytest.raises(ParamError, match="pixel buffer must be bytes"):
+            RgbImage(width=2, height=2, pixels=pixels)
     with pytest.raises(ShapeError):
         RgbImage(width=0, height=2, pixels=b"")
     with pytest.raises(ShapeError):  # 3 * width * height has more digits than Python prints

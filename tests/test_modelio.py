@@ -53,6 +53,19 @@ def test_roundtrip_preserves_forward_outputs(tmp_path, random_model, rng, saved_
                        rtol=1e-6, atol=1e-6)
 
 
+def test_save_model_replaces_symlinks_instead_of_writing_through(tmp_path, random_model):
+    # Both files were written through a symlink, replacing the linked file's content.
+    paths = (tmp_path / "m.json", tmp_path / "m.bin")
+    for path in paths:
+        (tmp_path / f"precious{path.suffix}").write_bytes(b"keep")
+        path.symlink_to(tmp_path / f"precious{path.suffix}")
+    save_model(random_model, *paths)
+    for path in paths:
+        assert not path.is_symlink() and path.is_file()
+        assert (tmp_path / f"precious{path.suffix}").read_bytes() == b"keep"
+    assert load_model(*paths).class_count == random_model.class_count
+
+
 def test_truncated_blob_names_byte_counts(saved_fixture):
     manifest, weights = saved_fixture
     blob = weights.read_bytes()

@@ -248,6 +248,6 @@ def test_model_refuses_non_finite_weights(rng, bad, layer, attr):
     arr = np.array(getattr(layers[i], attr), dtype=float)
     arr.reshape(-1)[-1] = bad
     layers[i] = replace(layers[i], **{attr: arr})
-    message = f"layer '{layer}': {attr} values must be finite"
+    message = f"layer '{layer}': {attr} holds 1 NaN or infinite values of {arr.size}"
     with pytest.raises(ParamError, match=re.escape(message)):
         Model(layers=layers, input_shape=(1, 4, 4), class_count=2)

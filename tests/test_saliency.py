@@ -43,7 +43,6 @@ from smoothcam import (
     softmax_layer,
     validate,
 )
-from smoothcam import gradients, saliency
 from smoothcam.saliency import CAM_METHODS, METHODS
 
 
@@ -598,9 +597,9 @@ def test_sigma_rel_must_be_a_real_number(sigma):
     assert request.sigma_rel == np.float32(0.1)
 
 
-def test_smooth_triple_refuses_a_non_cam_request_before_any_pass(random_model, rng, monkeypatch):
-    passes = []
-    monkeypatch.setattr(saliency, "forward", lambda *args: passes.append(args))
+def test_smooth_triple_refuses_a_non_cam_request_before_any_pass(random_model, rng,
+                                                                 forward_passes):
+    passes = forward_passes()
     request = SaliencyRequest(method="smoothgrad", score=ScoreMode("probability"))
     with pytest.raises(UnknownLayerError):
         smooth_triple(random_model, rng.random(random_model.input_shape), request)
@@ -626,10 +625,9 @@ _BAD_TARGETS = {  # id: (request changes, error, message); only "class" applies 
     for method in METHODS for name, case in _BAD_TARGETS.items()
     if method in CAM_METHODS or name == "class"
 ])
-def test_run_rejects_a_bad_target_before_any_pass(random_model, rng, monkeypatch, method,
+def test_run_rejects_a_bad_target_before_any_pass(random_model, rng, forward_passes, method,
                                                    changes, error, message):
-    passes = []
-    monkeypatch.setattr(saliency, "forward", lambda *args, **kwargs: passes.append(args))
+    passes = forward_passes()
     layer = {"layer": "conv1"} if method in CAM_METHODS else {}
     request = SaliencyRequest(method=method, **{**layer, "n": 3, **changes})
     with pytest.raises(error, match=re.escape(message)):
@@ -639,12 +637,10 @@ def test_run_rejects_a_bad_target_before_any_pass(random_model, rng, monkeypatch
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("method", METHODS)
-def test_run_refuses_a_non_finite_input_before_any_pass(random_model, rng, monkeypatch, method,
-                                                        value):
+def test_run_refuses_a_non_finite_input_before_any_pass(random_model, rng, forward_passes,
+                                                        method, value):
     # A NaN pixel used to give an all-NaN display, or an error that named the noise sigma.
-    passes = []
-    for module in (saliency, gradients):
-        monkeypatch.setattr(module, "forward", lambda *args, **kwargs: passes.append(args))
+    passes = forward_passes()
     x = rng.random(random_model.input_shape)
     x[0, 3, 5] = x[0, 9, 1] = value
     layer = {"layer": "conv1"} if method in CAM_METHODS else {}
@@ -653,19 +649,23 @@ def test_run_refuses_a_non_finite_input_before_any_pass(random_model, rng, monke
     assert passes == []
 
 
-@pytest.mark.parametrize("entry, method", [(smoothgrad_map, "sensitivity"),
-                                           (smoothgrad_map, "smoothgrad"),
-                                           (smooth_triple, "gradcampp"),
-                                           (smooth_triple, "smooth-gradcampp")])
+@pytest.mark.parametrize("entry, method, value", [
+    *[pytest.param(entry, method, np.nan, id=f"{entry.__name__}-{method}")
+      for entry, method in [(smoothgrad_map, "sensitivity"), (smoothgrad_map, "smoothgrad"),
+                            (smooth_triple, "gradcampp"), (smooth_triple, "smooth-gradcampp")]],
+    *[pytest.param(lambda model, x, request: grad_wrt_input(model, x, request.score),
+                   "sensitivity", value, id=f"grad_wrt_input-{value}")
+      for value in (np.nan, np.inf)],
+])
 def test_public_entry_points_refuse_a_non_finite_input_before_any_pass(random_model, rng,
-                                                                       monkeypatch, entry, method):
+                                                                       forward_passes, entry,
+                                                                       method, value):
     # Only run checked the input: a NaN pixel gave a sigma error nobody set, a false
-    # "class score overflowed", or NaN stacks from smooth_triple without any error.
-    passes = []
-    for module in (saliency, gradients):
-        monkeypatch.setattr(module, "forward", lambda *args, **kwargs: passes.append(args))
+    # "class score overflowed", or NaN stacks from smooth_triple without any error, and
+    # grad_wrt_input returned 243 NaN values of 256.
+    passes = forward_passes()
     x = rng.random(random_model.input_shape)
-    x[0, 4, 4] = np.nan
+    x[0, 4, 4] = value
     layer = {"layer": "conv1"} if method in CAM_METHODS else {}
     with pytest.raises(ParamError, match="input holds 1 NaN or infinite values of 256"):
         entry(random_model, x, SaliencyRequest(method=method, n=3, **layer))
@@ -680,14 +680,12 @@ def test_public_entry_points_refuse_a_non_finite_input_before_any_pass(random_mo
     pytest.param(lambda model, x, request: grad_wrt_input(model, x, request.score),
                  "sensitivity", *_BAD_TARGETS["class"], id="grad_wrt_input"),
 ])
-def test_public_entry_points_reject_a_bad_target_before_any_pass(random_model, rng, monkeypatch,
-                                                                  entry, method, changes, error,
-                                                                  message):
+def test_public_entry_points_reject_a_bad_target_before_any_pass(random_model, rng,
+                                                                  forward_passes, entry, method,
+                                                                  changes, error, message):
     # Each refused a bad class only after a forward pass, and smooth_triple never refused a
     # filter index or neuron selection its layer cannot hold.
-    passes = []
-    for module in (saliency, gradients):
-        monkeypatch.setattr(module, "forward", lambda *args, **kwargs: passes.append(args))
+    passes = forward_passes()
     layer = {"layer": "conv1"} if method in CAM_METHODS else {}
     request = SaliencyRequest(method=method, **{**layer, "n": 3, **changes})
     with pytest.raises(error, match=re.escape(message)):
@@ -734,19 +732,19 @@ def test_gradcam_map_is_unchanged_when_the_class_score_overflows(random_model, r
 @pytest.mark.parametrize("method, passes", [
     ("smooth-gradcampp", 5), ("gradcampp", 3), ("smoothgrad", 4), ("sensitivity", 2),
 ])
-def test_no_clean_trace_outlives_its_last_read(random_model, rng, monkeypatch, method, passes):
+def test_no_clean_trace_outlives_its_last_read(random_model, rng, forward_passes, method,
+                                                passes):
     # A clean pass is read only for its class and target activations, so no earlier pass's
     # trace may be alive when a pass starts.
     traces, alive = [], []
 
-    def tracked(model, x):
+    def tracked(forward, model, x):
         alive.append(sum(ref() is not None for ref in traces))
         trace = forward(model, x)
         traces.append(weakref.ref(trace))
         return trace
 
-    for module in (saliency, gradients):
-        monkeypatch.setattr(module, "forward", tracked)
+    forward_passes(tracked)
     layer = {"layer": "conv1"} if method in CAM_METHODS else {}
     run(random_model, rng.random(random_model.input_shape),
         SaliencyRequest(method=method, n=3, **layer))
