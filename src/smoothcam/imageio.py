@@ -104,9 +104,11 @@ def colormap(v: float) -> tuple[int, int, int]:
     """Heat color for an intensity in [0,1] (clamped): blue -> green -> red.
 
     R = clamp(1.5 - |4v - 3|), G = clamp(1.5 - |4v - 2|), B = clamp(1.5 - |4v - 1|),
-    each clamped to [0,1] and quantized with round-half-away-from-zero.
+    each clamped to [0,1] and quantized with round-half-away-from-zero. NaN has no color.
     """
-    r, g, b = _colormap_bytes(np.array(float(real(v, "colormap value"))))
+    if np.isnan(value := float(real(v, "colormap value"))):  # ±inf clamp, as in heat_image
+        raise ParamError(f"colormap value must not be NaN, got {v}")
+    r, g, b = _colormap_bytes(np.array(value))
     return int(r), int(g), int(b)
 
 
@@ -150,8 +152,8 @@ def write_map_csv(values: Tensor, path, header: str | None = None) -> None:
     arr = np.atleast_2d(as_tensor(values))
     if arr.ndim > 2:
         raise ShapeError(f"a map CSV holds a 2-D map, got shape {arr.shape}")
-    if header is not None and ("\r" in header or "\n" in header):
-        raise ParamError(f"a map CSV header must hold no CR or LF, got {header!r}")
+    if header is not None and (not isinstance(header, str) or "\r" in header or "\n" in header):
+        raise ParamError(f"a map CSV header must hold no CR or LF and be a str, got {header!r}")
     lines = [] if header is None else ["# " + header]
     if arr.size and not np.signbit(arr).any() and (arr <= 1.0).all():
         text = "".join(line + "\n" for line in lines).encode("utf-8")

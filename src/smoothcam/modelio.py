@@ -25,6 +25,7 @@ from .network import (
     dense_layer,
     flatten_layer,
     maxpool_layer,
+    name_fault,
     relu_layer,
     softmax_layer,
 )
@@ -85,10 +86,8 @@ def load_model(manifest_path, weights_path) -> Model:
         if not isinstance(entry, dict):
             raise FormatError(f"layer {i}: entry must be a JSON object, got {entry!r}")
         name, kind = entry.get("name"), entry.get("kind")
-        if not isinstance(name, str) or not name:
-            raise FormatError(f"layer entry missing a name: {entry!r}")
-        if not name.isprintable():  # a line break or a lone surrogate would garble the output
-            raise FormatError(f"layer {i}: name {name!r} holds an unprintable character")
+        if fault := name_fault(name):  # Model's rule too, so each model it accepts loads back
+            raise FormatError(f"layer {i}: {fault}")
         if not isinstance(kind, str) or kind not in KINDS:
             raise FormatError(f"layer '{name}': unknown kind '{kind}'")
         rules, where = KINDS[kind], f"layer '{name}'"

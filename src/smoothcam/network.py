@@ -18,8 +18,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonConvLayerError, ShapeError, SmoothCamError, UnknownLayerError
-from .tensor import (Tensor, as_tensor, conv2d, conv2d_shape, dense, dense_shape, finite, integer,
-                     ints, maxpool2d, maxpool2d_shape, relu, softmax, softmax_shape)
+from .tensor import (Tensor, as_tensor, conv2d, conv2d_backward, conv2d_shape, dense, dense_shape,
+                     finite, integer, ints, maxpool2d, maxpool2d_backward, maxpool2d_shape, relu,
+                     softmax, softmax_shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,6 +35,13 @@ class LayerSpec:
     stride: int | None = None         # conv, maxpool
     padding: int | None = None        # conv
     size: int | None = None           # maxpool
+
+
+def name_fault(name) -> str | None:
+    """Why a model file cannot hold this layer name (a non-empty printable str), else None."""
+    if not isinstance(name, str) or not name:
+        return f"name {name!r} is not a non-empty string"
+    return None if name.isprintable() else f"name {name!r} holds an unprintable character"
 
 
 def conv_layer(name: str, kernels, bias, stride: int = 1, padding: int = 0) -> LayerSpec:
@@ -162,10 +170,14 @@ def validate(model: Model) -> dict[str, tuple[int, ...]]:
     if len(shape) != 3 or any(d < 1 for d in shape):
         raise ShapeError(f"input shape must be [C,H,W] with positive dims, got {shape}")
     table: dict[str, tuple[int, ...]] = {}
-    for spec in model.layers:
+    for i, spec in enumerate(model.layers):
+        if not isinstance(spec, LayerSpec):
+            raise ShapeError(f"layer {i}: {spec!r} is not a LayerSpec")
+        if fault := name_fault(spec.name):  # a line break or a lone surrogate garbles output
+            raise ShapeError(f"layer {i}: {fault}")
         if spec.name in table:
             raise ShapeError(f"duplicate layer name: {spec.name}")
-        if spec.kind not in KINDS:
+        if not isinstance(spec.kind, str) or spec.kind not in KINDS:
             raise ShapeError(f"layer '{spec.name}': unknown kind '{spec.kind}'")
         takes = KINDS[spec.kind].params + KINDS[spec.kind].arrays
         for f in fields(LayerSpec)[2:]:
@@ -196,24 +208,6 @@ class LayerKind:
     arrays: tuple[str, ...] = ()  # float array fields, in blob order
 
 
-def _conv_backward(spec, grad, x, out, gate):
-    # One GEMM per output row (kept on the calling thread, as in conv2d) gives the gradient
-    # of every im2col row; col2im adds them back.
-    k = spec.weight
-    kout, _, kh, kw = k.shape
-    c, h, w = x.shape
-    s, p = spec.stride, spec.padding
-    hh, ww = grad.shape[1], grad.shape[2]
-    cols = np.empty((c * kh * kw, hh, ww))
-    np.matmul(k.reshape(kout, -1).T, grad.transpose(1, 0, 2), out=cols.transpose(1, 0, 2))
-    cols = cols.reshape(c, kh, kw, hh, ww)
-    dx = np.zeros((c, h + 2 * p, w + 2 * p))
-    for u in range(kh):
-        for v in range(kw):
-            dx[:, u : u + s * hh : s, v : v + s * ww : s] += cols[:, u, v]
-    return dx[:, p : p + h, p : p + w] if p else dx
-
-
 def _relu_forward(spec, x, gate=None):
     # The output doubles as the gate, so recording it costs no extra array.
     if gate is None:
@@ -228,15 +222,6 @@ def _maxpool_forward(spec, x, gate=None):
     return np.take(x, gate), gate
 
 
-def _maxpool_backward(spec, grad, x, out, gate):
-    dx = np.zeros(x.shape)
-    if spec.stride >= spec.size:  # disjoint windows hit no source twice: assign
-        dx.reshape(-1)[gate] = grad
-    else:
-        np.add.at(dx.reshape(-1), gate, grad)
-    return dx
-
-
 # Entries call the tensor primitives through this module's globals, so
 # anything that rebinds those names (such as a tracer) sees every call. A
 # missing array has shape (), which the primitives' shape rules reject.
@@ -246,7 +231,8 @@ KINDS: dict[str, LayerKind] = {
             in_shape, np.shape(spec.weight), np.shape(spec.bias), spec.stride, spec.padding),
         forward=lambda spec, x, gate=None: (
             conv2d(x, spec.weight, spec.bias, spec.stride, spec.padding), None),
-        backward=_conv_backward,
+        backward=lambda spec, grad, x, out, gate: conv2d_backward(
+            grad, x.shape, spec.weight, spec.stride, spec.padding),
         params=("stride", "padding"),
         arrays=("weight", "bias"),
     ),
@@ -258,7 +244,8 @@ KINDS: dict[str, LayerKind] = {
     "maxpool": LayerKind(
         shape=lambda spec, in_shape: maxpool2d_shape(in_shape, spec.size, spec.stride),
         forward=_maxpool_forward,
-        backward=_maxpool_backward,
+        backward=lambda spec, grad, x, out, gate: maxpool2d_backward(
+            grad, gate, x.shape, spec.size, spec.stride),
         params=("size", "stride"),
     ),
     "flatten": LayerKind(

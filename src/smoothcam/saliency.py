@@ -97,6 +97,10 @@ class SaliencyRequest:
             raise ParamError(f"unknown method '{self.method}', expected one of {METHODS}")
         if self.activation_source not in ACTIVATION_SOURCES:
             raise ParamError(f"unknown activation source '{self.activation_source}'")
+        if not isinstance(self.score, ScoreMode):
+            raise ParamError(f"score must be a ScoreMode, got {self.score!r}")
+        if not isinstance(self.neurons, (NeuronSelection, type(None))):
+            raise ParamError(f"neurons must be a NeuronSelection or None, got {self.neurons!r}")
         object.__setattr__(self, "n", integer(self.n, "sample count", 1))
         object.__setattr__(self, "seed", integer(self.seed, "seed", 0))
         if not 0.0 <= real(self.sigma_rel, "sigma_rel") < 1.0:

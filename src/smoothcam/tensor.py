@@ -83,12 +83,31 @@ def conv2d(
     kout, hh, ww = conv2d_shape(x.shape, k.shape, b.shape, stride, padding)
     kh, kw = k.shape[2:]
     stride = min(stride, max(x.shape[1:]) + 2 * padding)  # larger: one window, never applied
-    # im2col with one GEMM per output row: each is small enough that OpenBLAS runs it on
-    # the calling thread, so its workers sleep instead of spinning through the call.
     taps = _taps(x, kh, kw, stride, hh, ww, padding).reshape(-1, hh, ww)
-    out = np.empty((kout, hh, ww))
-    np.matmul(k.reshape(kout, -1), taps.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
+    out = _per_row(k.reshape(kout, -1), taps)
     out += b[:, None, None]
+    return out
+
+
+def conv2d_backward(grad: Tensor, x_shape, kernels: Tensor, stride: int, padding: int) -> Tensor:
+    """Gradient wrt conv2d's [C,H,W] input of shape x_shape, given grad wrt its [K,Ho,Wo]
+    output: kernels^T @ grad gives every im2col row's gradient, and col2im adds them back."""
+    kout, c, kh, kw = kernels.shape
+    _, h, w = x_shape
+    hh, ww = grad.shape[1:]
+    cols = _per_row(kernels.reshape(kout, -1).T, grad).reshape(c, kh, kw, hh, ww)
+    dx = np.zeros((c, h + 2 * padding, w + 2 * padding))
+    for u in range(kh):
+        for v in range(kw):
+            dx[:, u : u + stride * hh : stride, v : v + stride * ww : stride] += cols[:, u, v]
+    return dx[:, padding : padding + h, padding : padding + w] if padding else dx
+
+
+def _per_row(m: Tensor, x: Tensor) -> Tensor:
+    """[M, N] @ [N, Ho, Wo] as a fresh [M, Ho, Wo], one GEMM per output row: each is small enough
+    that OpenBLAS runs it on the calling thread, so its workers sleep instead of spinning."""
+    out = np.empty((m.shape[0], *x.shape[1:]))
+    np.matmul(m, x.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
     return out
 
 
@@ -166,6 +185,16 @@ def maxpool2d(t: Tensor, size: int, stride: int) -> tuple[Tensor, np.ndarray]:
     flat += np.arange(0, c * h * w, h * w)[:, None, None]
     flat += np.arange(0, stride * hh * w, stride * w)[:, None] + np.arange(0, stride * ww, stride)
     return np.take(x, flat), flat
+
+
+def maxpool2d_backward(grad: Tensor, gate: np.ndarray, x_shape, size: int, stride: int) -> Tensor:
+    """Gradient wrt maxpool2d's input: grad sent to (summed at) the flat indices of its gate."""
+    dx = np.zeros(x_shape)
+    if stride >= size:  # disjoint windows hit no source twice: assign
+        dx.reshape(-1)[gate] = grad
+    else:
+        np.add.at(dx.reshape(-1), gate, grad)
+    return dx
 
 
 def maxpool2d_shape(x_shape, size: int, stride: int) -> tuple[int, int, int]:

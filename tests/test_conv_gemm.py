@@ -13,6 +13,7 @@ import pytest
 import smoothcam
 from smoothcam import build_fixture, conv2d, conv_layer
 from smoothcam.network import KINDS
+from smoothcam.tensor import conv2d_backward
 
 
 def _columns(x, kh, kw, stride, padding):
@@ -55,8 +56,10 @@ def _case(kernels, bias, x_shape, stride, padding, seed):
     x = rng.random(x_shape)
     out = conv2d(x, kernels, bias, stride, padding)
     grad = rng.standard_normal(out.shape)
-    dx = KINDS["conv"].backward(conv_layer("conv", kernels, bias, stride, padding), grad, x,
-                                out, None)
+    dx = conv2d_backward(grad, x_shape, kernels, stride, padding)
+    swept = KINDS["conv"].backward(conv_layer("conv", kernels, bias, stride, padding), grad, x,
+                                   out, None)
+    assert swept.tobytes() == dx.tobytes()  # the reverse sweep runs the same kernel
     return (out, single_gemm_conv(x, kernels, bias, stride, padding),
             dx, single_gemm_conv_backward(kernels, grad, x_shape, stride, padding))
 

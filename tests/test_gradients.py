@@ -23,6 +23,7 @@ from smoothcam import (
     relu_layer,
     softmax_layer,
 )
+from smoothcam import network
 from smoothcam.gradients import SCORE_MODES
 from smoothcam.network import KINDS
 
@@ -369,3 +370,28 @@ def test_auto_class_resolves_to_argmax(random_model, rng):
     trace = forward(random_model, rng.random((1, 16, 16)))
     c = ScoreMode("raw-logit", None).resolve_class(trace)
     assert c == int(np.argmax(trace.logits))
+
+
+def test_a_tracer_sees_every_backward_kernel_call(strided_model, rng, monkeypatch):
+    # KINDS calls the backward kernels through network's globals, as it does the forward ones,
+    # so a tracer that rebinds those names catches each call: padded convs (the first of
+    # stride 2), a disjoint pool and an overlapping one.
+    x = rng.random(strided_model.input_shape)
+    score = ScoreMode("exp-logit", 1)
+    untraced = grad_wrt_input(strided_model, x, score)
+    calls = []
+    for name in ("conv2d_backward", "maxpool2d_backward"):
+        def traced(grad, *args, _name=name, _kernel=getattr(network, name)):
+            dx = _kernel(grad, *args)
+            calls.append((_name, grad.shape, dx.shape))
+            return dx
+        monkeypatch.setattr(network, name, traced)
+    sweep = [("maxpool2d_backward", (5, 2, 2), (5, 3, 3)),
+             ("conv2d_backward", (5, 3, 3), (4, 3, 3)),
+             ("maxpool2d_backward", (4, 3, 3), (4, 7, 7)),
+             ("conv2d_backward", (4, 7, 7), (3, 13, 13))]
+    assert grad_wrt_input(strided_model, x, score).tobytes() == untraced.tobytes()
+    assert calls == sweep
+    calls.clear()
+    grad_wrt_layer(strided_model, forward(strided_model, x), score, "conv1")
+    assert calls == sweep[:3]

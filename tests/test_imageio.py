@@ -198,8 +198,10 @@ def test_colormap_matches_the_scalar_formula(v):
 
 
 def test_colormap_rejects_nan():
-    with pytest.raises(ValueError):
+    # NaN has no color (int() of it was a bare ValueError); infinities clamp, as in heat_image.
+    with pytest.raises(ParamError, match="^colormap value must not be NaN, got nan$"):
         colormap(float("nan"))
+    assert colormap(np.inf) == colormap(1.0) and colormap(-np.inf) == colormap(0.0)
 
 
 @pytest.mark.parametrize("v", ["0.5", True, None], ids=["text", "bool", "none"])
@@ -312,11 +314,13 @@ def test_csv_header_comment(tmp_path):
     assert lines[1] == "1.000000000"
 
 
-@pytest.mark.parametrize("header", ["a\nb", "a\rb", "a\r\n", "\n"])
+@pytest.mark.parametrize("header", ["a\nb", "a\rb", "a\r\n", "\n", 5, b"x"])
 def test_csv_header_with_a_line_break_is_refused(tmp_path, header):
-    # "a\nb" wrote a second line "b", which np.loadtxt cannot read as a row.
+    # "a\nb" wrote a second line "b", which np.loadtxt cannot read as a row. A header that is
+    # not a str (5, b"x") ended in a bare TypeError.
     path = tmp_path / "map.csv"
-    with pytest.raises(ParamError, match="header must hold no CR or LF"):
+    message = f"a map CSV header must hold no CR or LF and be a str, got {header!r}"
+    with pytest.raises(ParamError, match=f"^{re.escape(message)}$"):
         write_map_csv(np.array([[1.0]]), path, header=header)
     assert not path.exists()
 

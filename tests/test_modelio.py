@@ -15,6 +15,7 @@ from smoothcam import (
     Model,
     ParamError,
     ScoreMode,
+    ShapeError,
     SmoothCamError,
     build_fixture,
     conv_layer,
@@ -425,6 +426,20 @@ def test_every_accepted_model_survives_save_and_load(data):
             assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, f.name
     x = rng.random(shape)
     assert np.array_equal(forward(loaded, x).logits, forward(want, x).logits)
+
+
+@given(name=st.text(max_size=6))
+def test_every_layer_name_a_model_accepts_survives_save_and_load(name):
+    # Model reads a name by the loader's own rule, so every name it accepts loads back.
+    layers = [flatten_layer(name), dense_layer("dense1", np.ones((2, 4)), np.zeros(2))]
+    try:
+        model = Model(layers=layers, input_shape=(1, 2, 2), class_count=2)
+    except ShapeError:
+        assume(False)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(model, Path(tmp) / "m.json", Path(tmp) / "m.bin")
+        loaded = load_model(Path(tmp) / "m.json", Path(tmp) / "m.bin")
+    assert [spec.name for spec in loaded.layers] == [name, "dense1"]
 
 
 def test_kinds_and_manifest_use_the_layer_spec_field_names(saved_fixture):

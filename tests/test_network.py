@@ -56,6 +56,26 @@ def test_empty_layer_list_rejected():
         Model(layers=[], input_shape=(1, 4, 4), class_count=2)
 
 
+@pytest.mark.parametrize("layer, message", [
+    pytest.param(5, "layer 0: 5 is not a LayerSpec", id="not-a-spec"),
+    pytest.param(LayerSpec("f", []), "layer 'f': unknown kind '[]'", id="kind-list"),
+    pytest.param(flatten_layer(5), "layer 0: name 5 is not a non-empty string", id="name-int"),
+    pytest.param(flatten_layer(("t",)), "layer 0: name ('t',) is not a non-empty string",
+                 id="name-tuple"),
+    pytest.param(flatten_layer(""), "layer 0: name '' is not a non-empty string", id="name-empty"),
+    pytest.param(flatten_layer("a\nb"), "layer 0: name 'a\\nb' holds an unprintable character",
+                 id="name-line-break"),
+    pytest.param(flatten_layer("\ud800"), "layer 0: name '\\ud800' holds an unprintable character",
+                 id="name-lone-surrogate"),
+])
+def test_a_layer_a_model_file_cannot_hold_is_refused(layer, message):
+    # Each was built, and save_model then wrote a file that load_model refused (a name), or
+    # construction ended in a bare AttributeError (5) or TypeError (an unhashable kind).
+    layers = [layer, dense_layer("dense1", np.ones((2, 4)), np.zeros(2))]
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        Model(layers=layers, input_shape=(1, 2, 2), class_count=2)
+
+
 def test_duplicate_layer_names_rejected():
     layers = [flatten_layer("a"), dense_layer("a", np.ones((2, 4)), np.zeros(2))]
     with pytest.raises(ShapeError, match="duplicate"):

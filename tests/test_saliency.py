@@ -566,6 +566,12 @@ def test_request_validation():
         SaliencyRequest(method="gradcam", layer="conv1", activation_source="mean")
     with pytest.raises(ParamError, match="requires a conv layer"):
         SaliencyRequest(method="gradcampp")
+    # A score mode's name and a bare coordinate pair ended in AttributeError, the pair in run.
+    with pytest.raises(ParamError, match="score must be a ScoreMode, got 'exp'"):
+        SaliencyRequest(method="gradcam", layer="conv1", score="exp")
+    with pytest.raises(ParamError, match=re.escape("neurons must be a NeuronSelection or None, "
+                                                   "got (1, 2)")):
+        SaliencyRequest(method="gradcam", layer="conv1", neurons=(1, 2))
     with pytest.raises(ParamError, match="only apply to CAM methods"):
         SaliencyRequest(method="smoothgrad", filters=(0,))
     for method in ("sensitivity", "smoothgrad"):
