@@ -1,8 +1,8 @@
 """Reverse-mode gradients of a class score through a recorded forward pass.
 
 The post-convolution tail of these pipelines is piecewise linear: ReLU gates
-and pool argmax choices are the only nonlinearity, and both are recorded in
-the trace. A single reverse sweep that reads those gates therefore gives exact
+and pool argmax choices are the only nonlinearity, and the layer values the
+trace records fix both. A single reverse sweep that reads those gates gives exact
 derivatives of the raw logit, and the higher-order stacks for the exponential
 score follow in closed form as powers of the first-order sweep.
 """
@@ -10,6 +10,7 @@ score follow in closed form as powers of the first-order sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
 
 import numpy as np
 
@@ -69,7 +70,7 @@ class GradientTriple:
 def grad_wrt_layer(model: Model, trace: ActivationTrace, score: ScoreMode, layer: str) -> Tensor:
     """Gradient of the class score with respect to a conv layer's [K,h,w] output.
 
-    ReLU gates and pool argmax choices are read from the trace, so the sweep
+    ReLU gates and pool argmax choices are read off the trace, so the sweep
     differentiates exactly the locally linear branch the forward pass took.
     The ReLU derivative at exactly 0 is taken as 0.
     """
@@ -133,26 +134,35 @@ def _central_diff(model, trace, score, start_index, base, h):
     if not 0 < real(h, "step h") < np.inf:
         raise ParamError(f"step h must be finite and > 0, got {h}")
     c = score.resolve_class(trace)
+    tail = _frozen_tail(model, trace, start_index)
     probe = base.copy()
     flat = probe.reshape(-1)
     out = np.zeros(flat.size)
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h
-        f_plus = score.value(_frozen_tail_logits(model, trace, start_index, probe), c)
+        f_plus = score.value(tail(probe), c)
         flat[i] = orig - h
-        f_minus = score.value(_frozen_tail_logits(model, trace, start_index, probe), c)
+        f_minus = score.value(tail(probe), c)
         flat[i] = orig
         out[i] = (f_plus - f_minus) / (2.0 * h)
     return out.reshape(probe.shape)
 
 
-def _frozen_tail_logits(model, trace, start_index, value):
-    """Replay layers after start_index with every recorded gate held fixed."""
-    x = value
-    for spec in model.layers[start_index + 1 : logits_layer_index(model) + 1]:
-        x, _ = KINDS[spec.kind].forward(spec, x, trace.gates.get(spec.name))
-    return x
+def _frozen_tail(model, trace, start_index):
+    """The layers after start_index up to the logits as one function, every ReLU and pool held
+    to the branch the recorded pass took (each pool's gate derived once, here)."""
+    steps = []
+    for i in range(start_index + 1, logits_layer_index(model) + 1):
+        spec = model.layers[i]
+        frozen = KINDS[spec.kind].frozen
+        steps.append(partial(KINDS[spec.kind].forward, spec) if frozen is None else
+                     frozen(spec, _recorded_input(model, trace, i), trace.per_layer[spec.name]))
+    return lambda x: reduce(lambda value, step: step(value), steps, x)
+
+
+def _recorded_input(model: Model, trace: ActivationTrace, i: int) -> np.ndarray:
+    return trace.per_layer[model.layers[i - 1].name] if i else trace.input
 
 
 def _seed_at_logits(trace: ActivationTrace, score: ScoreMode) -> np.ndarray:
@@ -161,14 +171,13 @@ def _seed_at_logits(trace: ActivationTrace, score: ScoreMode) -> np.ndarray:
     seed[c] = np.exp(trace.logits[c]) if score.mode == "exp-logit" else 1.0
     if score.mode != "probability":
         return seed
-    return KINDS["softmax"].backward(None, seed, trace.logits, softmax(trace.logits), None)
+    return KINDS["softmax"].backward(None, seed, trace.logits, softmax(trace.logits))
 
 
 def _sweep(model: Model, trace: ActivationTrace, score: ScoreMode, stop_index: int) -> np.ndarray:
     g = _seed_at_logits(trace, score)
     for i in range(logits_layer_index(model), stop_index, -1):
         spec = model.layers[i]
-        x = trace.per_layer[model.layers[i - 1].name] if i else trace.input
-        g = KINDS[spec.kind].backward(spec, g, x, trace.per_layer[spec.name],
-                                      trace.gates.get(spec.name))
+        g = KINDS[spec.kind].backward(spec, g, _recorded_input(model, trace, i),
+                                      trace.per_layer[spec.name])
     return g

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from types import MappingProxyType
 from typing import Callable
 
@@ -19,8 +20,8 @@ import numpy as np
 
 from .errors import NonConvLayerError, ShapeError, SmoothCamError, UnknownLayerError
 from .tensor import (Tensor, as_tensor, conv2d, conv2d_backward, conv2d_shape, dense, dense_shape,
-                     finite, integer, ints, maxpool2d, maxpool2d_backward, maxpool2d_shape, relu,
-                     softmax, softmax_shape)
+                     finite, integer, ints, maxpool2d, maxpool2d_backward, maxpool2d_gate,
+                     maxpool2d_shape, relu, softmax, softmax_shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,32 +123,27 @@ class Model:
 
 @dataclass(frozen=True, eq=False)
 class ActivationTrace:
-    """Every layer's forward output plus the bookkeeping reverse sweeps need, all read-only."""
+    """The input and every layer's forward output, all read-only. A reverse sweep reads each
+    ReLU's and pool's branch from its recorded input and output, so no gate is stored."""
 
     input: np.ndarray
     per_layer: MappingProxyType[str, np.ndarray]
     logits: np.ndarray
-    # The branch each gated layer took: a ReLU's output (open where positive)
-    # or a pool's flat argmax index into its raveled input.
-    gates: MappingProxyType[str, np.ndarray]
 
 
 def forward(model: Model, input: Tensor) -> ActivationTrace:
-    """Run the pipeline, recording every layer's output and the gates it chose."""
+    """Run the pipeline, recording every layer's output."""
     x = as_tensor(input)
     if x.shape != model.input_shape:
         raise ShapeError(f"input shape {x.shape} does not match model input {model.input_shape}")
-    per_layer, gates = {}, {}
+    per_layer = {}
     out = x = x.view()  # the trace's own view: marking it read-only leaves the caller's flags
     for spec in model.layers:
-        out, gate = KINDS[spec.kind].forward(spec, out)
-        per_layer[spec.name] = out
-        if gate is not None:
-            gates[spec.name] = gate
-    for arr in (x, *per_layer.values(), *gates.values()):
+        out = per_layer[spec.name] = KINDS[spec.kind].forward(spec, out)
+    for arr in (x, *per_layer.values()):
         arr.flags.writeable = False
     logits = per_layer[model.layers[logits_layer_index(model)].name]
-    return ActivationTrace(x, MappingProxyType(per_layer), logits, MappingProxyType(gates))
+    return ActivationTrace(x, MappingProxyType(per_layer), logits)
 
 
 def list_conv_layers(model: Model) -> list[str]:
@@ -164,6 +160,8 @@ def logits_layer_index(model: Model) -> int:
 
 def validate(model: Model) -> dict[str, tuple[int, ...]]:
     """Infer every layer's output shape, raising ShapeError on the first bad layer."""
+    if not isinstance(model.layers, (list, tuple)):
+        raise ShapeError(f"model layers must be a list or tuple, got {type(model.layers).__name__}")
     if not model.layers:
         raise ShapeError("model has no layers")
     shape = tuple(model.input_shape)
@@ -202,24 +200,13 @@ class LayerKind:
     `arrays` name the LayerSpec fields it takes: the manifest's params keys and span labels."""
 
     shape: Callable     # (spec, in_shape) -> out_shape; the primitive's own rule
-    forward: Callable   # (spec, x, gate=None) -> (out, gate); replays a given gate frozen
-    backward: Callable  # (spec, grad, recorded_input, recorded_output, gate) -> grad
+    forward: Callable   # (spec, x) -> out
+    backward: Callable  # (spec, grad, recorded_input, recorded_output) -> grad
     params: tuple[str, ...] = ()  # integer fields, in manifest order
     arrays: tuple[str, ...] = ()  # float array fields, in blob order
-
-
-def _relu_forward(spec, x, gate=None):
-    # The output doubles as the gate, so recording it costs no extra array.
-    if gate is None:
-        out = relu(x)
-        return out, out
-    return x * (gate > 0), gate
-
-
-def _maxpool_forward(spec, x, gate=None):
-    if gate is None:
-        return maxpool2d(x, spec.size, spec.stride)
-    return np.take(x, gate), gate
+    # (spec, recorded_input, recorded_output) -> the layer as a function of its input, held to
+    # the branch the recorded pass took; None where forward has no branch.
+    frozen: Callable | None = None
 
 
 # Entries call the tensor primitives through this module's globals, so
@@ -229,41 +216,43 @@ KINDS: dict[str, LayerKind] = {
     "conv": LayerKind(
         shape=lambda spec, in_shape: conv2d_shape(
             in_shape, np.shape(spec.weight), np.shape(spec.bias), spec.stride, spec.padding),
-        forward=lambda spec, x, gate=None: (
-            conv2d(x, spec.weight, spec.bias, spec.stride, spec.padding), None),
-        backward=lambda spec, grad, x, out, gate: conv2d_backward(
+        forward=lambda spec, x: conv2d(x, spec.weight, spec.bias, spec.stride, spec.padding),
+        backward=lambda spec, grad, x, out: conv2d_backward(
             grad, x.shape, spec.weight, spec.stride, spec.padding),
         params=("stride", "padding"),
         arrays=("weight", "bias"),
     ),
     "relu": LayerKind(
         shape=lambda spec, in_shape: in_shape,
-        forward=_relu_forward,
-        backward=lambda spec, grad, x, out, gate: grad * (x > 0.0),
+        forward=lambda spec, x: relu(x),
+        backward=lambda spec, grad, x, out: grad * (x > 0.0),
+        frozen=lambda spec, x, out: partial(np.multiply, out > 0),
     ),
     "maxpool": LayerKind(
         shape=lambda spec, in_shape: maxpool2d_shape(in_shape, spec.size, spec.stride),
-        forward=_maxpool_forward,
-        backward=lambda spec, grad, x, out, gate: maxpool2d_backward(
-            grad, gate, x.shape, spec.size, spec.stride),
+        forward=lambda spec, x: maxpool2d(x, spec.size, spec.stride),
+        backward=lambda spec, grad, x, out: maxpool2d_backward(
+            grad, maxpool2d_gate(x, out, spec.size, spec.stride), x.shape, spec.size, spec.stride),
+        frozen=lambda spec, x, out: partial(
+            np.take, indices=maxpool2d_gate(x, out, spec.size, spec.stride)),
         params=("size", "stride"),
     ),
     "flatten": LayerKind(
         shape=lambda spec, in_shape: (math.prod(in_shape),),
-        forward=lambda spec, x, gate=None: (x.reshape(-1), None),
-        backward=lambda spec, grad, x, out, gate: grad.reshape(x.shape),
+        forward=lambda spec, x: x.reshape(-1),
+        backward=lambda spec, grad, x, out: grad.reshape(x.shape),
     ),
     "dense": LayerKind(
         shape=lambda spec, in_shape: dense_shape(
             in_shape, np.shape(spec.weight), np.shape(spec.bias)),
-        forward=lambda spec, x, gate=None: (dense(x, spec.weight, spec.bias), None),
-        backward=lambda spec, grad, x, out, gate: spec.weight.T @ grad,
+        forward=lambda spec, x: dense(x, spec.weight, spec.bias),
+        backward=lambda spec, grad, x, out: spec.weight.T @ grad,
         arrays=("weight", "bias"),
     ),
     "softmax": LayerKind(
         shape=lambda spec, in_shape: softmax_shape(in_shape),
-        forward=lambda spec, x, gate=None: (softmax(x), None),
+        forward=lambda spec, x: softmax(x),
         # ds_j/dz_i = s_j (delta_ij - s_i)
-        backward=lambda spec, grad, x, out, gate: out * (grad - np.dot(grad, out)),
+        backward=lambda spec, grad, x, out: out * (grad - np.dot(grad, out)),
     ),
 }

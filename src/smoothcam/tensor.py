@@ -38,9 +38,15 @@ def integer(value, what: str, least: int | None = None) -> int:
 
 
 def real(value, what: str):
-    """value itself if it is a real number (numpy's pass) and not a bool, else ParamError."""
+    """value itself if it is a real number (numpy's pass) that a float can hold and not a bool,
+    else ParamError."""
     if type(value) is bool or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ParamError(f"{what} must be a real number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:  # an int past 2**1024; its digits may be too many to print
+        raise ParamError(f"{what} must fit a float, got an integer of {value.bit_length()} bits"
+                         ) from None
     return value
 
 
@@ -83,8 +89,8 @@ def conv2d(
     kout, hh, ww = conv2d_shape(x.shape, k.shape, b.shape, stride, padding)
     kh, kw = k.shape[2:]
     stride = min(stride, max(x.shape[1:]) + 2 * padding)  # larger: one window, never applied
-    taps = _taps(x, kh, kw, stride, hh, ww, padding).reshape(-1, hh, ww)
-    out = _per_row(k.reshape(kout, -1), taps)
+    taps = _taps(x, kh, kw, stride, hh, ww, padding).transpose(3, 0, 1, 2, 4)
+    out = _per_row(k.reshape(kout, -1), taps.reshape(hh, -1, ww))  # a copy: one block per row
     out += b[:, None, None]
     return out
 
@@ -95,7 +101,8 @@ def conv2d_backward(grad: Tensor, x_shape, kernels: Tensor, stride: int, padding
     kout, c, kh, kw = kernels.shape
     _, h, w = x_shape
     hh, ww = grad.shape[1:]
-    cols = _per_row(kernels.reshape(kout, -1).T, grad).reshape(c, kh, kw, hh, ww)
+    cols = _per_row(kernels.reshape(kout, -1).T, grad.transpose(1, 0, 2))
+    cols = cols.reshape(c, kh, kw, hh, ww)
     dx = np.zeros((c, h + 2 * padding, w + 2 * padding))
     for u in range(kh):
         for v in range(kw):
@@ -104,10 +111,10 @@ def conv2d_backward(grad: Tensor, x_shape, kernels: Tensor, stride: int, padding
 
 
 def _per_row(m: Tensor, x: Tensor) -> Tensor:
-    """[M, N] @ [N, Ho, Wo] as a fresh [M, Ho, Wo], one GEMM per output row: each is small enough
+    """[M, N] @ [Ho, N, Wo] as a fresh [M, Ho, Wo], one GEMM per output row: each is small enough
     that OpenBLAS runs it on the calling thread, so its workers sleep instead of spinning."""
-    out = np.empty((m.shape[0], *x.shape[1:]))
-    np.matmul(m, x.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
+    out = np.empty((m.shape[0], x.shape[0], x.shape[2]))
+    np.matmul(m, x, out=out.transpose(1, 0, 2))
     return out
 
 
@@ -139,17 +146,17 @@ def conv2d_shape(x_shape, k_shape, b_shape, stride: int, padding: int) -> tuple[
 
 
 def _taps(x, kh: int, kw: int, stride: int, hh: int, ww: int, pad: int) -> Tensor:
-    """[C, kh*kw, hh, ww] copy of window tap (u, v) (index u*kw + v) of every window over x
-    zero-padded by pad. The caller's shape rule keeps every window inside the padded input."""
+    """[C, kh, kw, hh, ww] read-only view of window tap (u, v) of every window over x zero-padded
+    by pad; each caller copies it in the order it reads. The caller's shape rule keeps every
+    window inside the padded input."""
     c, h, w = x.shape
     if pad:
         padded = np.zeros((c, h + 2 * pad, w + 2 * pad))
         padded[:, pad : pad + h, pad : pad + w] = x
         x = padded
     sc, sh, sw = x.strides
-    windows = as_strided(x, (c, kh, kw, hh, ww), (sc, sh, sw, stride * sh, stride * sw),
-                         writeable=False)
-    return windows.copy().reshape(c, kh * kw, hh, ww)
+    return as_strided(x, (c, kh, kw, hh, ww), (sc, sh, sw, stride * sh, stride * sw),
+                      writeable=False)
 
 
 def relu(t: Tensor) -> Tensor:
@@ -157,23 +164,31 @@ def relu(t: Tensor) -> Tensor:
     return np.maximum(as_tensor(t), 0.0)
 
 
-def maxpool2d(t: Tensor, size: int, stride: int) -> tuple[Tensor, np.ndarray]:
-    """Per-window maximum over a [C,H,W] tensor.
-
-    Returns the pooled tensor plus each window's maximum as a flat index into the
-    raveled input (np.unravel_index gives its (channel, row, col)). Ties resolve to the
-    first occurrence in row-major window order, making the gradient scatter deterministic.
-    """
+def maxpool2d(t: Tensor, size: int, stride: int) -> Tensor:
+    """Per-window maximum over a [C,H,W] tensor: the value of the window's first maximal tap in
+    row-major order (np.argmax's pick), bit for bit. The max reduction gives that value unless a
+    window holds a NaN or ties +0.0 with -0.0, so when the max holds a NaN or x holds a -0.0,
+    each value is read at maxpool2d_gate's index instead."""
     x = as_tensor(t)
     c, hh, ww = maxpool2d_shape(x.shape, size, stride)
+    stride = min(stride, max(x.shape[1:]))  # larger: one window, never applied (as in conv2d)
+    top = _taps(x, size, size, stride, hh, ww, 0).reshape(c, size * size, hh, ww).max(axis=1)
+    if np.isnan(top).any() or (np.signbit(x) & (x == 0.0)).any():
+        return np.take(x, maxpool2d_gate(x, top, size, stride))
+    return top
+
+
+def maxpool2d_gate(x: Tensor, pooled: Tensor, size: int, stride: int) -> np.ndarray:
+    """Each window's first maximal tap (np.argmax's pick: first maximum, else first NaN), given
+    maxpool2d's output, as a flat index into the raveled input (np.unravel_index gives its
+    (channel, row, col)). Only a reverse sweep or a frozen replay reads it, so only they build it.
+    """
+    c, hh, ww = pooled.shape
     h, w = x.shape[1:]
-    stride = min(stride, max(h, w))  # larger: one window, never applied (as in conv2d)
-    taps = _taps(x, size, size, stride, hh, ww, 0)
-    # hit[:, k]: np.argmax's pick (first maximum, else first NaN) is at tap k or before.
-    # top lives to the return: freed early, glibc trims the heap after each wide smoothgrad
-    # sample and the next one faults it back in (README, Kernels).
-    top = taps.max(axis=1, keepdims=True)
-    hit = taps == top
+    stride = min(stride, max(h, w))
+    taps = _taps(x, size, size, stride, hh, ww, 0).reshape(c, size * size, hh, ww)
+    # hit[:, k]: the pick is at tap k or before.
+    hit = taps == pooled[:, None]
     hit |= np.isnan(taps)
     for k in range(1, size * size):
         hit[:, k] |= hit[:, k - 1]
@@ -181,10 +196,10 @@ def maxpool2d(t: Tensor, size: int, stride: int) -> tuple[Tensor, np.ndarray]:
     # reads input (c, i*stride + du, j*stride + dv), du*w + dv past the window's first tap.
     n = hit.sum(axis=1, dtype=np.min_scalar_type(size * size))
     offsets = np.array([(k // size) * w + k % size for k in range(size * size, -1, -1)])
-    flat = offsets[n]
+    flat = np.take(offsets, n)
     flat += np.arange(0, c * h * w, h * w)[:, None, None]
     flat += np.arange(0, stride * hh * w, stride * w)[:, None] + np.arange(0, stride * ww, stride)
-    return np.take(x, flat), flat
+    return flat
 
 
 def maxpool2d_backward(grad: Tensor, gate: np.ndarray, x_shape, size: int, stride: int) -> Tensor:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 from smoothcam import (Model, build_fixture, conv_layer, dense_layer, detector_scene,
-                       flatten_layer, forward, maxpool_layer, relu_layer)
+                       flatten_layer, forward, maxpool_layer, relu_layer, softmax_layer)
 
 # When a property fails, Hypothesis imports this module, and libcst's import of it raises a
 # mypy_extensions DeprecationWarning. pyproject turns that into an error, which pytest reports
@@ -86,3 +86,27 @@ def strided_model(rng):
         dense_layer("dense1", rng.standard_normal((3, 20)), rng.normal(0.0, 0.1, 3)),
     ]
     return Model(layers=layers, input_shape=(3, 13, 13), class_count=3)
+
+
+@pytest.fixture(scope="module")
+def wide_model():
+    """The benchmark's 3x64x64 net, perfbench's wide_model(11): conv16, relu, pool2, conv32,
+    relu, pool2, flatten, dense10, softmax, He-scaled weights."""
+    rng = np.random.default_rng(11)
+
+    def he(shape):
+        return rng.normal(0.0, np.sqrt(2.0 / np.prod(shape[1:])), size=shape)
+
+    layers = [
+        conv_layer("conv1", he((16, 3, 3, 3)), rng.normal(0.0, 0.05, 16), padding=1),
+        relu_layer("relu1"),
+        maxpool_layer("pool1", 2),
+        conv_layer("conv2", he((32, 16, 3, 3)), rng.normal(0.0, 0.05, 32), padding=1),
+        relu_layer("relu2"),
+        maxpool_layer("pool2", 2),
+        flatten_layer("flatten1"),
+        dense_layer("dense1", rng.normal(0.0, 1.0 / np.sqrt(8192), size=(10, 8192)),
+                    rng.normal(0.0, 0.1, 10)),
+        softmax_layer("softmax1"),
+    ]
+    return Model(layers=layers, input_shape=(3, 64, 64), class_count=10)

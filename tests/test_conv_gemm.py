@@ -58,7 +58,7 @@ def _case(kernels, bias, x_shape, stride, padding, seed):
     grad = rng.standard_normal(out.shape)
     dx = conv2d_backward(grad, x_shape, kernels, stride, padding)
     swept = KINDS["conv"].backward(conv_layer("conv", kernels, bias, stride, padding), grad, x,
-                                   out, None)
+                                   out)
     assert swept.tobytes() == dx.tobytes()  # the reverse sweep runs the same kernel
     return (out, single_gemm_conv(x, kernels, bias, stride, padding),
             dx, single_gemm_conv_backward(kernels, grad, x_shape, stride, padding))

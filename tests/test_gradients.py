@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -8,6 +9,7 @@ from smoothcam import (
     Model,
     NonConvLayerError,
     ParamError,
+    SaliencyRequest,
     ScoreMode,
     UnknownLayerError,
     conv_layer,
@@ -21,11 +23,13 @@ from smoothcam import (
     higher_order_triple,
     maxpool_layer,
     relu_layer,
+    run,
     softmax_layer,
 )
 from smoothcam import network
 from smoothcam.gradients import SCORE_MODES
 from smoothcam.network import KINDS
+from smoothcam.tensor import maxpool2d_gate
 
 
 def _sum_tail_net(rng, dense_scale=1.0):
@@ -154,7 +158,8 @@ def test_input_gradient_overlapping_pool_matches_finite_differences(rng):
     ]
     model = Model(layers=layers, input_shape=(1, 10, 10), class_count=3)
     trace = _oracle_input_check(model, rng)
-    sources = trace.gates["pool1"].ravel()  # flat indices into relu1's output
+    # flat indices into relu1's output
+    sources = maxpool2d_gate(trace.per_layer["relu1"], trace.per_layer["pool1"], 3, 1).ravel()
     assert len(set(sources)) < len(sources)  # some source wins several windows
 
 
@@ -184,11 +189,12 @@ def test_sweeps_through_a_mid_network_softmax_match_finite_differences(rng, mode
 def test_disjoint_pool_backward_equals_accumulation(rng, size, stride):
     spec = maxpool_layer("pool1", size, stride=stride)
     x = rng.standard_normal((3, 11, 11))
-    out, gate = KINDS["maxpool"].forward(spec, x)
+    out = KINDS["maxpool"].forward(spec, x)
+    gate = maxpool2d_gate(x, out, size, stride)
     grad = rng.standard_normal(out.shape)
     want = np.zeros_like(x)
     np.add.at(want, np.unravel_index(gate, x.shape), grad)
-    assert KINDS["maxpool"].backward(spec, grad, x, out, gate).tobytes() == want.tobytes()
+    assert KINDS["maxpool"].backward(spec, grad, x, out).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +247,13 @@ def test_triple_logit_must_be_a_real_number(mode, logit):
         higher_order_triple(np.ones((1, 2, 2)), logit, mode)
     t = higher_order_triple(np.ones((1, 2, 2)), np.float32(0.0), mode)
     assert t.d1.tolist() == [[[1.0, 1.0], [1.0, 1.0]]]
+
+
+@pytest.mark.parametrize("mode", ["exp-logit", "raw-logit"])
+def test_triple_refuses_a_logit_too_large_for_a_float(mode):
+    # It ended in a bare OverflowError ("int too large to convert to float").
+    with pytest.raises(ParamError, match="^logit must fit a float, got an integer of 1329 bits$"):
+        higher_order_triple(np.ones((1, 2, 2)), 10**400, mode)
 
 
 def test_triple_algebraic_consistency(random_model, rng):
@@ -312,6 +325,13 @@ def test_finite_diff_step_must_be_a_finite_real_number(random_model, rng, oracle
     call = finite_diff_layer_grad if oracle == "layer" else finite_diff_input_grad
     with pytest.raises(ParamError, match="step h must be"):
         call(random_model, trace, ScoreMode("raw-logit", 0), *layer, h=h)
+
+
+def test_finite_diff_refuses_a_step_too_large_for_a_float(random_model, rng):
+    # It passed the range check and ended in a bare OverflowError at the first probe.
+    trace = forward(random_model, rng.random(random_model.input_shape))
+    with pytest.raises(ParamError, match="^step h must fit a float, got an integer of 1329 bits$"):
+        finite_diff_input_grad(random_model, trace, ScoreMode("raw-logit", 0), h=10**400)
 
 
 @pytest.mark.parametrize("c, message", [
@@ -395,3 +415,30 @@ def test_a_tracer_sees_every_backward_kernel_call(strided_model, rng, monkeypatc
     calls.clear()
     grad_wrt_layer(strided_model, forward(strided_model, x), score, "conv1")
     assert calls == sweep[:3]
+
+
+def test_a_pool_gate_is_built_only_where_a_sweep_reads_it(wide_model, monkeypatch):
+    # A trace stores no gate: each pool's backward derives one from its recorded input and
+    # output, so clean passes build none and a conv2 sweep builds only pool2's.
+    x = np.random.default_rng(3).random(wide_model.input_shape)
+    built = []
+
+    def counted(x, pooled, *args, _gate=network.maxpool2d_gate):
+        built.append(pooled.shape)
+        return _gate(x, pooled, *args)
+
+    monkeypatch.setattr(network, "maxpool2d_gate", counted)
+    trace = forward(wide_model, x)
+    assert built == []
+    assert [f.name for f in dataclasses.fields(trace)] == ["input", "per_layer", "logits"]
+    assert all(a.dtype == np.float64 for a in (trace.input, trace.logits,
+                                               *trace.per_layer.values()))
+    pool1, pool2 = (16, 32, 32), (32, 16, 16)
+    for request, want in [(SaliencyRequest("gradcam", layer="conv2"), [pool2]),
+                          (SaliencyRequest("smooth-gradcampp", layer="conv2", n=4), [pool2] * 4),
+                          (SaliencyRequest("smooth-gradcampp", layer="conv1", n=4),
+                           [pool2, pool1] * 4),
+                          (SaliencyRequest("smoothgrad", n=4), [pool2, pool1] * 4)]:
+        built.clear()
+        run(wide_model, x, request)
+        assert built == want, request

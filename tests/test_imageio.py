@@ -212,6 +212,13 @@ def test_colormap_value_must_be_a_real_number(v):
     assert colormap(np.float32(0.5)) == (128, 255, 128) and colormap(1) == (128, 0, 0)
 
 
+def test_colormap_refuses_an_integer_too_large_for_a_float():
+    # It ended in a bare OverflowError ("int too large to convert to float").
+    with pytest.raises(ParamError, match="^colormap value must fit a float, got an integer of "
+                                         "1329 bits$"):
+        colormap(10**400)
+
+
 def test_colormap_clamps_out_of_range():
     assert colormap(-3.0) == colormap(0.0)
     assert colormap(42.0) == colormap(1.0)

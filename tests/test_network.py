@@ -88,6 +88,12 @@ def test_wrong_class_count_rejected():
         Model(layers=layers, input_shape=(1, 2, 2), class_count=5)
 
 
+def test_a_model_whose_layers_are_not_a_sequence_is_rejected():
+    # It ended in a bare TypeError ("'int' object is not iterable") from validate's loop.
+    with pytest.raises(ShapeError, match="^model layers must be a list or tuple, got int$"):
+        Model(layers=5, input_shape=(1, 2, 2), class_count=2)
+
+
 def test_a_model_without_classes_is_rejected_at_construction():
     # Every pass over it would fail later, in its first softmax of an empty vector.
     layers = [flatten_layer("f"), dense_layer("d", np.ones((0, 4)), np.zeros(0))]
@@ -155,7 +161,7 @@ def test_model_validation_is_the_primitive_rule(channels, count, kernel_channels
         run = lambda: conv2d(x, kernels, bias, stride, padding)
     else:
         spec = maxpool_layer("probe", pool, stride)
-        run = lambda: maxpool2d(x, pool, stride)[0]
+        run = lambda: maxpool2d(x, pool, stride)
 
     def build(features):
         layers = [spec, flatten_layer("flatten1"),

@@ -1,5 +1,6 @@
 """README's examples run as written, so the README cannot drift from the API or the format."""
 
+import importlib
 import json
 import math
 import re
@@ -60,3 +61,16 @@ def test_readme_cli_walkthrough_runs(tmp_path, monkeypatch, capsys):
     assert "conv1" in printed[1].split()
     for name in ("heatmap.ppm", "overlay.ppm", "map.csv"):
         assert (tmp_path / "out" / name).is_file(), name
+
+
+def test_readme_names_only_attributes_that_exist():
+    # Every `module.name` README quotes, for the package's own modules, resolves; file names
+    # such as `tensor.py` are not attributes.
+    modules = ("cli", "errors", "gradients", "imageio", "modelio", "network", "saliency", "tensor")
+    quoted = set(re.findall(rf"`({'|'.join(modules)})\.([A-Za-z_]\w*)",
+                            README.read_text(encoding="utf-8")))
+    names = sorted((module, name) for module, name in quoted if name != "py")
+    assert len(names) >= 10
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(f"smoothcam.{module}"), name)]
+    assert missing == []

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -13,10 +14,12 @@ from smoothcam import (
     bilinear_resize,
     conv2d,
     dense,
+    forward,
     maxpool2d,
     relu,
     softmax,
 )
+from smoothcam.tensor import maxpool2d_gate
 
 # ---------------------------------------------------------------------------
 # Reference implementations: deliberately slow scalar loops, independent of
@@ -179,15 +182,15 @@ def test_relu_bounds(rng):
 
 def test_maxpool_constant_halves_resolution():
     x = np.full((2, 4, 4), 3.25)
-    pooled, _ = maxpool2d(x, 2, 2)
+    pooled = maxpool2d(x, 2, 2)
     assert pooled.shape == (2, 2, 2)
     assert np.all(pooled == 3.25)
 
 
 def test_maxpool_increasing_values_pick_bottom_right():
     x = np.arange(16, dtype=float).reshape(1, 4, 4)
-    pooled, gate = maxpool2d(x, 2, 2)
-    rows, cols = np.unravel_index(gate, x.shape)[1:]
+    pooled = maxpool2d(x, 2, 2)
+    rows, cols = np.unravel_index(maxpool2d_gate(x, pooled, 2, 2), x.shape)[1:]
     assert np.array_equal(pooled, x[:, 1::2, 1::2])
     assert np.array_equal(rows[0], [[1, 1], [3, 3]])
     assert np.array_equal(cols[0], [[1, 3], [1, 3]])
@@ -196,13 +199,13 @@ def test_maxpool_increasing_values_pick_bottom_right():
 @pytest.mark.parametrize("size,stride", [(2, 2), (3, 1), (2, 1), (3, 3)])
 def test_maxpool_matches_bruteforce(rng, size, stride):
     x = rng.standard_normal((1, 6, 6))
-    pooled, _ = maxpool2d(x, size, stride)
+    pooled = maxpool2d(x, size, stride)
     assert np.array_equal(pooled, maxpool_oracle(x, size, stride))
 
 
 def test_maxpool_tie_breaks_to_first_rowmajor():
     x = np.zeros((1, 2, 2))
-    _, gate = maxpool2d(x, 2, 2)
+    gate = maxpool2d_gate(x, maxpool2d(x, 2, 2), 2, 2)
     rows, cols = np.unravel_index(gate, x.shape)[1:]
     assert rows[0, 0, 0] == 0 and cols[0, 0, 0] == 0
 
@@ -227,8 +230,8 @@ def _argmax_pool_oracle(x, size, stride):
 
 
 def _assert_matches_argmax(x, size, stride):
-    pooled, gate = maxpool2d(x, size, stride)
-    rows, cols = np.unravel_index(gate, x.shape)[1:]
+    pooled = maxpool2d(x, size, stride)
+    rows, cols = np.unravel_index(maxpool2d_gate(x, pooled, size, stride), x.shape)[1:]
     want, want_rows, want_cols = _argmax_pool_oracle(x, size, stride)
     assert pooled.tobytes() == want.tobytes()  # bit-identical, NaNs and signed zeros included
     assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
@@ -250,6 +253,39 @@ def test_maxpool_overlapping_ties_follow_argmax(rng, size, stride):
     x[x == 0.0] = rng.choice([0.0, -0.0], size=int((x == 0.0).sum()))
     _assert_matches_argmax(x, size, stride)
     _assert_matches_argmax(np.full((2, 6, 6), -0.0), size, stride)
+
+
+def test_maxpool_takes_the_first_maximal_tap_where_the_max_cannot(rng):
+    # The max reduction alone is the first maximal tap's value, except in a window that ties
+    # +0.0 with -0.0 or holds a NaN: there its pick depends on the array's layout, so each such
+    # window is pooled alone, in one row of windows and planted among ReLU-like values.
+    zeros = np.array(list(itertools.product([0.0, -0.0], repeat=4)))  # all 16 sign mixes
+    nans = np.array(list(itertools.product([np.nan, -np.nan, 0.0, 1.0], repeat=4)))
+    relu_like = np.maximum(rng.standard_normal((3, 8, 32)), 0.0)
+    for ch, windows in enumerate((zeros, nans)):
+        row = windows.reshape(1, -1, 2, 2).transpose(0, 2, 1, 3).reshape(1, 2, -1)
+        relu_like[ch, 2:4, :] = row[0, :, :32]
+        for x in (*windows.reshape(-1, 1, 2, 2), row):
+            _assert_matches_argmax(x, 2, 2)
+    for size, stride in ((2, 2), (2, 1), (3, 2)):
+        _assert_matches_argmax(relu_like, size, stride)
+
+
+def test_maxpool_gate_is_the_argmax_on_noised_wide_relu_outputs(wide_model):
+    # The wide benchmark's pool1 inputs: 40 noised relu1 outputs, each 16x64x64.
+    x = np.random.default_rng(5).random(wide_model.input_shape)
+    c, h, w = 16, 64, 64
+    channel = np.arange(c)[:, None, None]
+    for s in range(40):
+        relu1 = forward(wide_model, add_gaussian_noise(x, 0.15, np.random.default_rng(s)))
+        relu1 = relu1.per_layer["relu1"]
+        pooled = maxpool2d(relu1, 2, 2)
+        windows = relu1.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4)
+        k = np.argmax(windows.reshape(c, h // 2, w // 2, 4), axis=-1)
+        rows, cols = np.arange(0, h, 2)[:, None] + k // 2, np.arange(0, w, 2) + k % 2
+        want = np.ravel_multi_index((channel, rows, cols), relu1.shape)
+        assert np.array_equal(maxpool2d_gate(relu1, pooled, 2, 2), want)
+        assert pooled.tobytes() == np.take(relu1, want).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +435,12 @@ def test_noise_rejects_a_sigma_that_is_not_finite(sigma):
     # Both were accepted and gave non-finite samples.
     with pytest.raises(ParamError, match="sigma must be finite"):
         add_gaussian_noise(np.zeros((1, 2, 2)), sigma, np.random.default_rng(0))
+
+
+def test_noise_refuses_a_sigma_too_large_for_a_float():
+    # It passed the range check and ended in a bare OverflowError in rng.normal.
+    with pytest.raises(ParamError, match="^sigma must fit a float, got an integer of 1329 bits$"):
+        add_gaussian_noise(np.zeros((1, 2, 2)), 10**400, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
