@@ -94,7 +94,7 @@ def higher_order_triple(g: Tensor, logit: float, mode: str = "exp-logit") -> Gra
     """
     if ScoreMode(mode).mode == "probability":
         raise ParamError("higher-order stacks are not supported for probability scores")
-    g, logit = as_tensor(g), float(real(logit, "logit"))
+    g, logit = as_tensor(g), real(logit, "logit")
     if mode == "raw-logit":
         return GradientTriple(g.copy(), np.zeros_like(g), np.zeros_like(g))
     d1 = np.exp(logit) * g
@@ -131,7 +131,7 @@ def finite_diff_input_grad(
 
 
 def _central_diff(model, trace, score, start_index, base, h):
-    if not 0 < real(h, "step h") < np.inf:
+    if not 0 < (h := real(h, "step h")) < np.inf:
         raise ParamError(f"step h must be finite and > 0, got {h}")
     c = score.resolve_class(trace)
     tail = _frozen_tail(model, trace, start_index)

@@ -106,7 +106,7 @@ def colormap(v: float) -> tuple[int, int, int]:
     R = clamp(1.5 - |4v - 3|), G = clamp(1.5 - |4v - 2|), B = clamp(1.5 - |4v - 1|),
     each clamped to [0,1] and quantized with round-half-away-from-zero. NaN has no color.
     """
-    if np.isnan(value := float(real(v, "colormap value"))):  # ±inf clamp, as in heat_image
+    if np.isnan(value := real(v, "colormap value")):  # ±inf clamp, as in heat_image
         raise ParamError(f"colormap value must not be NaN, got {v}")
     r, g, b = _colormap_bytes(np.array(value))
     return int(r), int(g), int(b)
@@ -118,14 +118,14 @@ def overlay(base: RgbImage, heat: RgbImage, blend: float = 0.5) -> RgbImage:
     out = round((1 - blend) * base + blend * heat) per channel, so blend=0
     returns the base exactly and blend=1 the heat image.
     """
-    if not 0.0 <= real(blend, "blend") <= 1.0:
+    if not 0.0 <= (blend := real(blend, "blend")) <= 1.0:
         raise ParamError(f"blend must be in [0, 1], got {blend}")
     if (heat.width, heat.height) != (base.width, base.height):
         raise ShapeError(f"heat image {heat.width}x{heat.height} does not match image "
                          f"{base.width}x{base.height}")
     pixels = np.frombuffer(base.pixels, dtype=np.uint8).reshape(base.height, base.width, 3)
     cm = np.frombuffer(heat.pixels, dtype=np.uint8).reshape(pixels.shape)
-    mixed = np.floor((1.0 - blend) * pixels + float(blend) * cm + 0.5).astype(np.uint8)
+    mixed = np.floor((1.0 - blend) * pixels + blend * cm + 0.5).astype(np.uint8)
     return RgbImage(width=base.width, height=base.height, pixels=mixed.tobytes())
 
 

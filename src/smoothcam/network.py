@@ -133,7 +133,7 @@ class ActivationTrace:
 
 def forward(model: Model, input: Tensor) -> ActivationTrace:
     """Run the pipeline, recording every layer's output."""
-    x = as_tensor(input)
+    x = as_tensor(input, "input")
     if x.shape != model.input_shape:
         raise ShapeError(f"input shape {x.shape} does not match model input {model.input_shape}")
     per_layer = {}
@@ -179,8 +179,10 @@ def validate(model: Model) -> dict[str, tuple[int, ...]]:
             raise ShapeError(f"layer '{spec.name}': unknown kind '{spec.kind}'")
         takes = KINDS[spec.kind].params + KINDS[spec.kind].arrays
         for f in fields(LayerSpec)[2:]:
-            if getattr(spec, f.name) is not None and f.name not in takes:
+            if (value := getattr(spec, f.name)) is not None and f.name not in takes:
                 raise ShapeError(f"layer '{spec.name}': a {spec.kind} layer takes no {f.name}")
+            if value is not None and f.name in KINDS[spec.kind].arrays:  # numbers before np.shape
+                as_tensor(value, f"layer '{spec.name}': {f.name}")
         try:
             shape = KINDS[spec.kind].shape(spec, shape)
         except SmoothCamError as exc:

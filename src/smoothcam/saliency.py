@@ -103,7 +103,8 @@ class SaliencyRequest:
             raise ParamError(f"neurons must be a NeuronSelection or None, got {self.neurons!r}")
         object.__setattr__(self, "n", integer(self.n, "sample count", 1))
         object.__setattr__(self, "seed", integer(self.seed, "seed", 0))
-        if not 0.0 <= real(self.sigma_rel, "sigma_rel") < 1.0:
+        object.__setattr__(self, "sigma_rel", real(self.sigma_rel, "sigma_rel"))
+        if not 0.0 <= self.sigma_rel < 1.0:
             raise ParamError(f"sigma_rel must be in [0, 1), got {self.sigma_rel}")
         if self.method in CAM_METHODS:
             if self.layer is None:
@@ -143,7 +144,8 @@ def smooth_triple(
     triple for the un-noised pass's class. The activations come from the
     un-noised pass (activation_source="original") or their sample mean ("averaged").
     """
-    model.conv_index(request.layer)
+    if request.method not in CAM_METHODS:
+        raise ParamError(f"smooth_triple does not handle method '{request.method}'")
     averaged = request.activation_source == "averaged"
 
     def per_sample(sample, c):
@@ -153,7 +155,7 @@ def smooth_triple(
         stacks = (triple.d1, triple.d2, triple.d3)
         return stacks + (tr.per_layer[request.layer],) if averaged else stacks
 
-    clean, _, means = _average(model, as_tensor(input), request, per_sample)
+    clean, _, means = _average(model, as_tensor(input, "input"), request, per_sample)
     return GradientTriple(*means[:3]), means[3] if averaged else clean
 
 
@@ -217,7 +219,7 @@ def smoothgrad_map(model: Model, input: Tensor, request: SaliencyRequest) -> Sal
     def per_sample(sample, c):
         return (grad_wrt_input(model, sample, ScoreMode(request.score.mode, c)),)
 
-    _, c, (avg,) = _average(model, as_tensor(input), request, per_sample)
+    _, c, (avg,) = _average(model, as_tensor(input, "input"), request, per_sample)
     return _finished(model, request, np.abs(avg).max(axis=0), c)
 
 
@@ -236,7 +238,7 @@ def postprocess(raw_map: Tensor, input_h: int, input_w: int) -> np.ndarray:
 
 def run(model: Model, input: Tensor, request: SaliencyRequest) -> SaliencyMap:
     """Dispatch a request to its method pipeline, whose clean pass checks it first."""
-    x = as_tensor(input)
+    x = as_tensor(input, "input")
     if request.method not in CAM_METHODS:
         return smoothgrad_map(model, x, request)
     base, c = _clean_pass(model, x, request)

@@ -19,9 +19,16 @@ from .errors import ParamError, ShapeError
 Tensor = np.ndarray
 
 
-def as_tensor(values) -> Tensor:
-    """Coerce nested sequences or arrays to a C-contiguous float64 array."""
-    return np.ascontiguousarray(values, dtype=np.float64)
+def as_tensor(values, what: str = "an array") -> Tensor:
+    """values as a C-contiguous float64 array if numpy reads them as bools, ints or floats, else
+    ParamError. Only the dtype is judged, so a float64 array costs no pass over its values."""
+    try:
+        x = np.asarray(values)
+    except ValueError:  # numpy's refusal of a ragged nesting
+        raise ParamError(f"{what} must hold real numbers, got a ragged nesting") from None
+    if x.dtype.kind not in "biuf":  # text, objects and complex numbers have no real reading
+        raise ParamError(f"{what} must hold real numbers, got dtype {x.dtype}")
+    return np.ascontiguousarray(x, dtype=np.float64)
 
 
 def integer(value, what: str, least: int | None = None) -> int:
@@ -37,22 +44,24 @@ def integer(value, what: str, least: int | None = None) -> int:
     raise ParamError(f"{what} must be an integer{bound}, got {value!r}")
 
 
-def real(value, what: str):
-    """value itself if it is a real number (numpy's pass) that a float can hold and not a bool,
-    else ParamError."""
+def real(value, what: str) -> float:
+    """value as a float if it is a real number (numpy's pass) that a float holds and not a bool,
+    else ParamError: callers compute with this float, so a numpy type never picks the arithmetic."""
     if type(value) is bool or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ParamError(f"{what} must be a real number, got {value!r}")
     try:
-        float(value)
+        read = float(value)
     except OverflowError:  # an int past 2**1024; its digits may be too many to print
         raise ParamError(f"{what} must fit a float, got an integer of {value.bit_length()} bits"
                          ) from None
-    return value
+    if abs(read) == np.inf and np.isfinite(value):  # a long double past a float's range
+        raise ParamError(f"{what} must fit a float, got {value!r}")
+    return read
 
 
 def finite(values, what: str) -> Tensor:
     """values as a float64 tensor, or ParamError counting its NaN and infinite values."""
-    x = as_tensor(values)
+    x = as_tensor(values, what)
     if not np.isfinite(x).all():
         raise ParamError(f"{what} holds {np.count_nonzero(~np.isfinite(x))} NaN or infinite "
                          f"values of {x.size}")
@@ -83,12 +92,12 @@ def conv2d(
     must divide exactly (same for width); anything else raises ShapeError
     rather than silently truncating a partial window.
     """
-    x = as_tensor(input)
+    x = as_tensor(input, "input")
     k = as_tensor(kernels)
     b = as_tensor(bias)
     kout, hh, ww = conv2d_shape(x.shape, k.shape, b.shape, stride, padding)
     kh, kw = k.shape[2:]
-    stride = min(stride, max(x.shape[1:]) + 2 * padding)  # larger: one window, never applied
+    stride, padding = integer(stride, "stride"), integer(padding, "padding")  # as the rule read
     taps = _taps(x, kh, kw, stride, hh, ww, padding).transpose(3, 0, 1, 2, 4)
     out = _per_row(k.reshape(kout, -1), taps.reshape(hh, -1, ww))  # a copy: one block per row
     out += b[:, None, None]
@@ -154,6 +163,7 @@ def _taps(x, kh: int, kw: int, stride: int, hh: int, ww: int, pad: int) -> Tenso
         padded = np.zeros((c, h + 2 * pad, w + 2 * pad))
         padded[:, pad : pad + h, pad : pad + w] = x
         x = padded
+    stride = min(stride, max(x.shape[1:]))  # larger: one window, never applied
     sc, sh, sw = x.strides
     return as_strided(x, (c, kh, kw, hh, ww), (sc, sh, sw, stride * sh, stride * sw),
                       writeable=False)
@@ -171,7 +181,7 @@ def maxpool2d(t: Tensor, size: int, stride: int) -> Tensor:
     each value is read at maxpool2d_gate's index instead."""
     x = as_tensor(t)
     c, hh, ww = maxpool2d_shape(x.shape, size, stride)
-    stride = min(stride, max(x.shape[1:]))  # larger: one window, never applied (as in conv2d)
+    size, stride = integer(size, "pool size"), integer(stride, "pool stride")  # as the rule read
     top = _taps(x, size, size, stride, hh, ww, 0).reshape(c, size * size, hh, ww).max(axis=1)
     if np.isnan(top).any() or (np.signbit(x) & (x == 0.0)).any():
         return np.take(x, maxpool2d_gate(x, top, size, stride))
@@ -185,7 +195,7 @@ def maxpool2d_gate(x: Tensor, pooled: Tensor, size: int, stride: int) -> np.ndar
     """
     c, hh, ww = pooled.shape
     h, w = x.shape[1:]
-    stride = min(stride, max(h, w))
+    size, stride = integer(size, "pool size", 1), min(integer(stride, "pool stride", 1), max(h, w))
     taps = _taps(x, size, size, stride, hh, ww, 0).reshape(c, size * size, hh, ww)
     # hit[:, k]: the pick is at tap k or before.
     hit = taps == pooled[:, None]
@@ -265,7 +275,7 @@ def add_gaussian_noise(t: Tensor, sigma: float, rng: np.random.Generator) -> Ten
     spread convert it against the input's dynamic range first. sigma == 0 is
     the exact identity (bit-for-bit, no generator draw).
     """
-    if not 0 <= real(sigma, "sigma") < np.inf:
+    if not 0 <= (sigma := real(sigma, "sigma")) < np.inf:
         raise ParamError(f"sigma must be finite and >= 0, got {sigma}")
     x = as_tensor(t)
     if sigma == 0:

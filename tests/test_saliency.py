@@ -607,7 +607,7 @@ def test_smooth_triple_refuses_a_non_cam_request_before_any_pass(random_model, r
                                                                  forward_passes):
     passes = forward_passes()
     request = SaliencyRequest(method="smoothgrad", score=ScoreMode("probability"))
-    with pytest.raises(UnknownLayerError):
+    with pytest.raises(ParamError, match="^smooth_triple does not handle method 'smoothgrad'$"):
         smooth_triple(random_model, rng.random(random_model.input_shape), request)
     assert passes == []
 
